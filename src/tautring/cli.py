@@ -79,8 +79,13 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+# Name of the one marking-set rule (root minima plus uncovered markings),
+# printed in every output and hashed into every cache key.
+MODE = "complement"
+
+
 def _context(args) -> RingContext:
-    return RingContext(args.g, args.n, args.set_s_mode)
+    return RingContext(args.g, args.n)
 
 
 def _table(args, ctx: RingContext) -> KappaTable:
@@ -104,6 +109,36 @@ def _evaluator(args, ctx: RingContext, table: KappaTable) -> Evaluator:
     return Evaluator(ctx, table, normalizer)
 
 
+def _cached(args, render, exit_code) -> int:
+    """Write ``render(args, ctx, table)`` to stdout, served from the result
+    cache when present.
+
+    The exit code is ``exit_code(args, text)`` of the bytes written, so a
+    replayed result exits exactly as the run that stored it.
+    """
+    ctx = _context(args)
+    table = _table(args, ctx)
+    cache = _cache(args)
+    key = ResultCache.key({
+        "command": args.command,
+        "format": args.format,
+        "g": ctx.g,
+        "k": args.k,
+        "kappa": table.digest(),
+        "max_steps": args.max_rewrite_steps,
+        "mode": MODE,
+        "n": ctx.n,
+        "version": __version__,
+    })
+    text = cache.load(key)
+    if text is None:
+        text = render(args, ctx, table)
+        cache.store(key, text)
+    code = exit_code(args, text)
+    sys.stdout.write(text)
+    return code
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 
@@ -122,7 +157,7 @@ def _cmd_enumerate(args) -> int:
             "count": len(basis),
             "g": ctx.g,
             "k": args.k,
-            "mode": ctx.set_s_mode,
+            "mode": MODE,
             "monomials": [
                 {
                     "S": sorted(sm.S),
@@ -165,54 +200,36 @@ def _matrix_payload(matrix) -> dict:
         "entries": [[str(v) for v in row] for row in matrix.entries],
         "g": matrix.ctx.g,
         "k": matrix.k,
-        "mode": matrix.ctx.set_s_mode,
+        "mode": MODE,
         "n": matrix.ctx.n,
         "rank": matrix.rank(),
         "rows": [repr(sm.monomial) for sm in matrix.rows],
     }
 
 
-def _cmd_pairing(args) -> int:
-    ctx = _context(args)
-    table = _table(args, ctx)
-    cache = _cache(args)
-    key = ResultCache.key({
-        "command": "pairing",
-        "format": args.format,
-        "g": ctx.g,
-        "k": args.k,
-        "kappa": table.digest(),
-        "max_steps": args.max_rewrite_steps,
-        "mode": ctx.set_s_mode,
-        "n": ctx.n,
-        "version": __version__,
-    })
-    cached = cache.load(key)
-    if cached is not None:
-        sys.stdout.write(cached)
-        return 0
+def _pairing_render(args, ctx: RingContext, table: KappaTable) -> str:
     matrix = pairing_matrix(ctx, args.k, _evaluator(args, ctx, table), args.parallelism)
     if args.format == "json":
-        text = _json_text({"command": "pairing", **_matrix_payload(matrix)})
-    elif args.format == "csv":
+        return _json_text({"command": "pairing", **_matrix_payload(matrix)})
+    if args.format == "csv":
         rows = [[""] + [repr(sm.monomial) for sm in matrix.cols]]
         for sm, row in zip(matrix.rows, matrix.entries):
             rows.append([repr(sm.monomial)] + [str(v) for v in row])
-        text = _csv_text(rows)
-    else:
-        lines = [
-            f"pairing g={ctx.g} n={ctx.n} k={args.k} mode={ctx.set_s_mode} "
-            f"rank={matrix.rank()}",
-            f"rows ({len(matrix.rows)}): "
-            + "; ".join(repr(sm.monomial) for sm in matrix.rows),
-            f"cols ({len(matrix.cols)}): "
-            + "; ".join(repr(sm.monomial) for sm in matrix.cols),
-        ]
-        lines += [" ".join(str(v) for v in row) for row in matrix.entries]
-        text = "".join(line + "\n" for line in lines)
-    cache.store(key, text)
-    sys.stdout.write(text)
-    return 0
+        return _csv_text(rows)
+    lines = [
+        f"pairing g={ctx.g} n={ctx.n} k={args.k} mode={MODE} "
+        f"rank={matrix.rank()}",
+        f"rows ({len(matrix.rows)}): "
+        + "; ".join(repr(sm.monomial) for sm in matrix.rows),
+        f"cols ({len(matrix.cols)}): "
+        + "; ".join(repr(sm.monomial) for sm in matrix.cols),
+    ]
+    lines += [" ".join(str(v) for v in row) for row in matrix.entries]
+    return "".join(line + "\n" for line in lines)
+
+
+def _cmd_pairing(args) -> int:
+    return _cached(args, _pairing_render, lambda args, text: 0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +278,7 @@ def _verify_data(args, ctx: RingContext, table: KappaTable) -> dict:
         "checks": checks,
         "command": "verify",
         "g": ctx.g,
-        "mode": ctx.set_s_mode,
+        "mode": MODE,
         "n": ctx.n,
     }
     if args.k is None:
@@ -305,30 +322,22 @@ def _verify_text(data: dict) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _cmd_verify(args) -> int:
-    ctx = _context(args)
-    table = _table(args, ctx)
-    cache = _cache(args)
-    key = ResultCache.key({
-        "command": "verify",
-        "format": args.format,
-        "g": ctx.g,
-        "k": args.k,
-        "kappa": table.digest(),
-        "max_steps": args.max_rewrite_steps,
-        "mode": ctx.set_s_mode,
-        "n": ctx.n,
-        "version": __version__,
-    })
-    cached = cache.load(key)
-    if cached is not None:
-        sys.stdout.write(cached)
-        return 0 if "\"ok\": true" in cached or cached.rstrip().endswith("OK") else 1
+def _verify_render(args, ctx: RingContext, table: KappaTable) -> str:
     data = _verify_data(args, ctx, table)
-    text = _json_text(data) if args.format == "json" else _verify_text(data)
-    cache.store(key, text)
-    sys.stdout.write(text)
-    return 0 if data["ok"] else 1
+    return _json_text(data) if args.format == "json" else _verify_text(data)
+
+
+def _verify_exit_code(args, text: str) -> int:
+    """1 unless the top-level ``ok`` (JSON) or the last line (text) says OK."""
+    if args.format == "json":
+        ok = json.loads(text)["ok"]
+    else:
+        ok = text.splitlines()[-1:] == ["OK"]
+    return 0 if ok else 1
+
+
+def _cmd_verify(args) -> int:
+    return _cached(args, _verify_render, _verify_exit_code)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, formats=("text", "json", "csv")):
         p.add_argument("--g", type=int, required=True, help="genus (>= 2)")
         p.add_argument("--n", type=int, required=True, help="number of markings (>= 1)")
-        p.add_argument(
-            "--set-s-mode", choices=("complement", "literal"), default="complement",
-            help="marking-set convention (default: complement)",
-        )
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument(
             "--max-rewrite-steps", type=int, default=10 ** 6,

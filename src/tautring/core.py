@@ -30,19 +30,16 @@ _KIND_NAMES = {KAPPA: "kappa", POINT: "K", DIAG: "d", EXC: "D"}
 
 @dataclass(frozen=True)
 class RingContext:
-    """Fixed genus, number of markings, and the marking-set convention."""
+    """Fixed genus and number of markings."""
 
     g: int
     n: int
-    set_s_mode: str = "complement"
 
     def __post_init__(self) -> None:
         if not isinstance(self.g, int) or self.g < 2:
             raise ValueError("genus must be an integer >= 2")
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("number of markings must be an integer >= 1")
-        if self.set_s_mode not in ("complement", "literal"):
-            raise ValueError("set_s_mode must be 'complement' or 'literal'")
 
     @property
     def top_degree(self) -> int:
@@ -164,6 +161,15 @@ def format_symbol(sym: Symbol) -> str:
     return "D(" + ",".join(str(m) for m in sym.params[0]) + ")"
 
 
+def format_monomial(m: "Monomial") -> str:
+    if not m.pairs:
+        return "1"
+    bits = []
+    for s, e in m.pairs:
+        bits.append(format_symbol(s) + (f"^{e}" if e > 1 else ""))
+    return "*".join(bits)
+
+
 class Monomial:
     """Product of generator powers, stored sorted by symbol key."""
 
@@ -263,12 +269,7 @@ class Monomial:
         return frozenset(out)
 
     def __repr__(self) -> str:
-        if not self.pairs:
-            return "1"
-        bits = []
-        for s, e in self.pairs:
-            bits.append(format_symbol(s) + (f"^{e}" if e > 1 else ""))
-        return "*".join(bits)
+        return format_monomial(self)
 
 
 UNIT = Monomial(())
@@ -380,9 +381,6 @@ class Polynomial:
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
-
-    def scale(self, c: Scalar) -> "Polynomial":
-        return self * c
 
     def mul_monomial(self, m: Monomial, coeff: Scalar = 1) -> "Polynomial":
         c = _as_fraction(coeff)

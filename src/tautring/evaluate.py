@@ -278,8 +278,7 @@ class Evaluator:
         for t, c in nf.items():
             if any(s.kind == EXC for s, _ in t.pairs):
                 raise EvaluationError(
-                    f"normal form of {m!r} kept exceptional factors in {t!r}; "
-                    "this does not happen in the 'complement' marking-set mode"
+                    f"normal form of {m!r} kept exceptional factors in {t!r}"
                 )
             total += c * evaluate_free(ctx, self.table, t)
         self._memo[m] = total

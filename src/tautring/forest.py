@@ -17,8 +17,7 @@ A monomial ``v = a(v) * D(v)`` is *standard* when
 * ``a(v)`` is in canonical cluster form (see :func:`cluster_monomials`).
 
 The marking set is ``S = {min(J) for each root J} ∪ (all markings not covered
-by any vertex)``; the ``literal`` context mode instead adjoins the
-intersection of all vertex sets, kept for side-by-side comparison runs.
+by any vertex)``.
 """
 
 from __future__ import annotations
@@ -39,26 +38,6 @@ from .core import (
     kappa,
     point_k,
 )
-
-
-class ZeroClassType:
-    """Sentinel value: the monomial is zero because two sets overlap."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "ZeroClass"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-ZERO_CLASS = ZeroClassType()
 
 
 def nested_or_disjoint(a: frozenset, b: frozenset) -> bool:
@@ -152,10 +131,11 @@ class ExceptionalForest:
 EMPTY_FOREST = ExceptionalForest((), (), ())
 
 
-def build_forest(ctx: RingContext, m: Monomial) -> Union[ExceptionalForest, ZeroClassType]:
+def build_forest(ctx: RingContext, m: Monomial) -> Union[ExceptionalForest, None]:
     """Forest of the exceptional factors of ``m`` (other factors ignored).
 
-    Returns ``ZERO_CLASS`` when two exceptional sets overlap without nesting.
+    Returns None when two exceptional sets overlap without nesting, since
+    ``m`` is then zero.
     """
     items = m.exc_items()
     if not items:
@@ -163,7 +143,7 @@ def build_forest(ctx: RingContext, m: Monomial) -> Union[ExceptionalForest, Zero
     sets = [frozenset(s) for s, _ in items]
     for a, b in itertools.combinations(sets, 2):
         if not nested_or_disjoint(a, b):
-            return ZERO_CLASS
+            return None
     order = sorted(range(len(items)), key=lambda i: (len(items[i][0]), items[i][0]))
     vertices = tuple(items[i] for i in order)
     fsets = [frozenset(v[0]) for v in vertices]
@@ -180,14 +160,8 @@ def build_forest(ctx: RingContext, m: Monomial) -> Union[ExceptionalForest, Zero
 
 
 def marking_set(ctx: RingContext, forest: ExceptionalForest) -> frozenset[int]:
-    """Marking set ``S`` of a forest, honoring ``ctx.set_s_mode``."""
+    """Marking set ``S``: the root minima and the markings no vertex covers."""
     mins = {min(forest.vertex_set(r)) for r in forest.roots}
-    if ctx.set_s_mode == "literal":
-        if forest.vertices:
-            extra = frozenset.intersection(*(frozenset(s) for s, _ in forest.vertices))
-        else:
-            extra = frozenset(ctx.markings)
-        return frozenset(mins) | extra
     return frozenset(mins) | (frozenset(ctx.markings) - forest.union_all)
 
 
@@ -319,7 +293,7 @@ def apart_in_cluster_form(m: Monomial) -> bool:
 def standard_info(ctx: RingContext, m: Monomial) -> Union[StandardMonomial, None]:
     """StandardMonomial view of ``m``, or None when ``m`` is not standard."""
     forest = build_forest(ctx, m)
-    if forest is ZERO_CLASS:
+    if forest is None:
         return None
     for i in range(len(forest.vertices)):
         if forest.exponent(i) > forest.exponent_bound(i):
@@ -380,7 +354,7 @@ def _forest_with_exponents(ctx: RingContext, family: Sequence[tuple[int, ...]],
                            exps: Sequence[int]) -> ExceptionalForest:
     m = Monomial.from_pairs((exc(s), e) for s, e in zip(family, exps))
     forest = build_forest(ctx, m)
-    assert forest is not ZERO_CLASS
+    assert forest is not None
     return forest
 
 

@@ -22,7 +22,7 @@ from .core import (
     check_symbol,
     diag,
     exc,
-    format_symbol,
+    format_monomial,
     kappa,
     point_k,
 )
@@ -30,19 +30,6 @@ from .core import (
 
 class GrammarError(ValueError):
     """Raised on malformed or out-of-context textual input."""
-
-
-def format_monomial(m: Monomial) -> str:
-    if not m.pairs:
-        return "1"
-    bits = []
-    for s, e in m.pairs:
-        bits.append(format_symbol(s) + (f"^{e}" if e > 1 else ""))
-    return "*".join(bits)
-
-
-def format_coefficient(c: Fraction) -> str:
-    return str(c)
 
 
 def format_polynomial(p: Polynomial) -> str:
@@ -53,11 +40,11 @@ def format_polynomial(p: Polynomial) -> str:
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if not m.pairs:
-            body = format_coefficient(mag)
+            body = str(mag)
         elif mag == 1:
             body = format_monomial(m)
         else:
-            body = f"{format_coefficient(mag)} {format_monomial(m)}"
+            body = f"{mag} {format_monomial(m)}"
         if not out:
             out.append(body if sign == "+" else f"-{body}")
         else:

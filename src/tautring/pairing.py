@@ -126,9 +126,9 @@ def _label_ranges(items: Sequence[StandardMonomial], labelfn) -> dict[Monomial, 
 _POOL_STATE: Optional[tuple[RingContext, Evaluator]] = None
 
 
-def _pool_init(g: int, n: int, mode: str, table_items) -> None:
+def _pool_init(g: int, n: int, table_items) -> None:
     global _POOL_STATE
-    ctx = RingContext(g, n, mode)
+    ctx = RingContext(g, n)
     table = KappaTable(g, {tuple(p): Fraction(v) for p, v in table_items})
     _POOL_STATE = (ctx, Evaluator(ctx, table))
 
@@ -172,7 +172,7 @@ def _parallel_entries(ctx, evaluator, rows, cols, parallelism):
     with ProcessPoolExecutor(
         max_workers=parallelism,
         initializer=_pool_init,
-        initargs=(ctx.g, ctx.n, ctx.set_s_mode, table_items),
+        initargs=(ctx.g, ctx.n, table_items),
     ) as pool:
         for out in pool.map(_pool_eval, chunks):
             for s, v in out:

@@ -36,8 +36,7 @@ Instance families
     along a diagonal).
 
 The normalizer applies a fixed priority of steps until no step applies;
-the result is supported on standard monomials whenever the context uses the
-``complement`` marking-set mode.  Termination is enforced by a step budget
+the result is supported on standard monomials.  Termination is enforced by a step budget
 and, on the memoized path, by cycle detection.
 """
 
@@ -60,7 +59,7 @@ from .core import (
     point_k,
     relabel,
 )
-from .forest import ZERO_CLASS, build_forest, marking_set, nested_or_disjoint
+from .forest import build_forest, marking_set, nested_or_disjoint
 
 
 class NonTermination(RuntimeError):
@@ -376,7 +375,7 @@ class Normalizer:
             if s.kind == KAPPA and s.params[0] > ctx.g - 2:
                 return instance_V1(ctx, m, "kappa"), m, Fraction(1)
         forest = build_forest(ctx, m)
-        if forest is ZERO_CLASS:
+        if forest is None:
             items = m.exc_items()
             for (a, _), (b, _) in itertools.combinations(items, 2):
                 if not nested_or_disjoint(frozenset(a), frozenset(b)):
@@ -503,7 +502,7 @@ class Normalizer:
                 got = memo.get(child)
                 if got is None:
                     break
-                fr.acc = fr.acc + got.scale(coeff)
+                fr.acc = fr.acc + got * coeff
                 fr.idx += 1
             if fr.idx < len(fr.terms):
                 child = fr.terms[fr.idx][0]
@@ -550,5 +549,5 @@ class Normalizer:
         self._budget = self.max_steps
         out = Polynomial.zero()
         for m, c in poly.items():
-            out = out + self._normalize_monomial(m).scale(c)
+            out = out + self._normalize_monomial(m) * c
         return out

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from tautring.cli import main
 
 
@@ -55,10 +57,14 @@ def test_enumerate_dpart_rejects_free_factors(capsys):
     assert "dpart" in err
 
 
-def test_enumerate_literal_mode_runs(capsys):
-    rc, out, _ = run(capsys, ["enumerate", "--g", "2", "--n", "3", "--k", "1",
-                              "--set-s-mode", "literal"])
-    assert rc == 0 and out
+def test_set_s_mode_is_usage_error(capsys):
+    # S has one rule; the option that selected another one is gone
+    for command in ("enumerate", "pairing", "verify", "normalize"):
+        assert main([command, "--help"]) == 0
+        assert "--set-s-mode" not in capsys.readouterr().out
+        rc, _, err = run(capsys, [command, "--g", "2", "--n", "3", "--k", "1",
+                                  "--set-s-mode", "complement"])
+        assert rc == 2 and "--set-s-mode" in err
 
 
 # -- pairing -------------------------------------------------------------------
@@ -266,3 +272,19 @@ def test_cached_verify_preserves_exit_code(capsys, tmp_path):
     rc1, out1, _ = run(capsys, argv)
     rc2, out2, _ = run(capsys, argv)
     assert (rc1, out1) == (rc2, out2) == (0, out1)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cached_failing_verify_exits_1(capsys, tmp_path, monkeypatch, fmt):
+    # one failing degree among passing ones: the replay must still exit 1
+    monkeypatch.setattr(
+        "tautring.cli.check_duality_classes",
+        lambda ctx, k: [("presence", k)] if k == 1 else [],
+    )
+    argv = ["verify", "--g", "2", "--n", "3", "--format", fmt,
+            "--cache-dir", str(tmp_path / "cache")]
+    rc1, out1, _ = run(capsys, argv)
+    rc2, out2, _ = run(capsys, argv)
+    assert (rc1, rc2) == (1, 1) and out1 == out2
+    if fmt == "json":
+        assert [c["ok"] for c in json.loads(out1)["checks"]] == [True, False, True, True]

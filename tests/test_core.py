@@ -25,8 +25,6 @@ def test_context_validation():
         RingContext(1, 3)
     with pytest.raises(ValueError):
         RingContext(2, 0)
-    with pytest.raises(ValueError):
-        RingContext(2, 3, set_s_mode="weird")
 
 
 def test_context_derived_quantities():

@@ -6,7 +6,6 @@ from tautring import (
     EMPTY_FOREST,
     Monomial,
     RingContext,
-    ZERO_CLASS,
     build_forest,
     diag,
     dual_forest,
@@ -86,7 +85,7 @@ def test_nested_chain_with_slack():
 
 def test_overlap_is_zero_class():
     ctx = RingContext(2, 4)
-    assert build_forest(ctx, mono(exc((1, 2, 3)), exc((2, 3, 4)))) is ZERO_CLASS
+    assert build_forest(ctx, mono(exc((1, 2, 3)), exc((2, 3, 4)))) is None
     assert nested_or_disjoint(frozenset({1, 2, 3}), frozenset({4, 5, 6}))
     assert nested_or_disjoint(frozenset({1, 2}), frozenset({1, 2, 3}))
     assert not nested_or_disjoint(frozenset({1, 2, 3}), frozenset({3, 4, 5}))
@@ -107,13 +106,6 @@ def test_marking_set_complement_mode():
     ctx = RingContext(2, 4)
     f = build_forest(ctx, mono(exc((1, 2, 3))))
     assert marking_set(ctx, f) == frozenset({1, 4})
-
-
-def test_marking_set_literal_mode():
-    ctx = RingContext(2, 4, set_s_mode="literal")
-    f = build_forest(ctx, mono(exc((1, 2, 3))))
-    assert marking_set(ctx, f) == frozenset({1, 2, 3})
-    assert marking_set(ctx, EMPTY_FOREST) == frozenset({1, 2, 3, 4})
 
 
 def test_marking_set_two_roots():
@@ -208,12 +200,10 @@ def test_not_standard(g, n, m):
     assert not is_standard(RingContext(g, n), m)
 
 
-def test_standard_literal_mode_changes_cap():
-    # literal S keeps all members of the innermost intersection, so the
-    # degree cap g - 2 + |S| is larger than in complement mode
+def test_standard_degree_cap_uses_marking_set():
+    # S = {1} under D(1,2,3) at n = 3, so the a-part degree cap is g - 2 + 1
     m = Monomial.from_pairs([(point_k(1), 2), (exc((1, 2, 3)), 1)])
     assert not is_standard(RingContext(2, 3), m)
-    assert is_standard(RingContext(2, 3, set_s_mode="literal"), m)
 
 
 def test_filtration_level():

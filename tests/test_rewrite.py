@@ -290,8 +290,8 @@ def test_normalize_is_linear(ctx23):
     nz = Normalizer(ctx23)
     a = parse_polynomial(ctx23, "D(1,2,3)^2")
     b = parse_polynomial(ctx23, "d(1,2)*D(1,2,3)")
-    left = nz.normalize(a + b.scale(Fraction(3, 2)))
-    right = nz.normalize(a) + nz.normalize(b).scale(Fraction(3, 2))
+    left = nz.normalize(a + b * Fraction(3, 2))
+    right = nz.normalize(a) + nz.normalize(b) * Fraction(3, 2)
     assert left == right
 
 
