@@ -37,6 +37,10 @@ from .rewrite import NonTermination, Normalizer
 
 
 class ResultCache:
+    """Entries ``ROOT/KEY.out``: a ``sha256:HEX`` line, then the payload.  An
+    entry whose header does not match its payload (say, one cut short) is a
+    miss, so the result is computed again and overwrites it."""
+
     def __init__(self, root: Optional[str]):
         self.root = Path(root) if root else None
 
@@ -49,14 +53,22 @@ class ResultCache:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
+    @staticmethod
+    def _header(payload: bytes) -> bytes:
+        return b"sha256:" + hashlib.sha256(payload).hexdigest().encode() + b"\n"
+
     def load(self, key: str) -> Optional[str]:
         if not self.enabled:
             return None
         path = self.root / f"{key}.out"
         try:
-            return path.read_text(encoding="utf-8")
+            blob = path.read_bytes()
         except FileNotFoundError:
             return None
+        header, sep, payload = blob.partition(b"\n")
+        if header + sep != self._header(payload):
+            return None
+        return payload.decode("utf-8")
 
     def store(self, key: str, text: str) -> None:
         if not self.enabled:
@@ -64,7 +76,8 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.root / f"{key}.out"
         tmp = self.root / f".{key}.tmp.{os.getpid()}"
-        tmp.write_text(text, encoding="utf-8")
+        payload = text.encode("utf-8")
+        tmp.write_bytes(self._header(payload) + payload)
         os.replace(tmp, path)
 
 
@@ -404,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument(
             "--max-rewrite-steps", type=int, default=10 ** 6,
-            help="rewrite step budget before giving up (exit code 3)",
+            help="distinct monomials one normalization may rewrite "
+            "before giving up (exit code 3)",
         )
 
     p = sub.add_parser("enumerate", help="list the standard basis of a degree")

@@ -132,13 +132,6 @@ def exc(members: Iterable[int]) -> Symbol:
     return _exc_cached(tup)
 
 
-def exc_set(sym: Symbol) -> tuple[int, ...]:
-    """Marking set of an exceptional-divisor symbol."""
-    if sym.kind != EXC:
-        raise ValueError("not an exceptional divisor")
-    return sym.params[0]
-
-
 def check_symbol(ctx: RingContext, sym: Symbol) -> None:
     """Raise if ``sym`` is not a generator of the ring for ``ctx``."""
     if sym.kind == KAPPA:

@@ -108,7 +108,7 @@ class KappaTable:
         Example for genus 4::
 
             2=1
-            1,1=7/5
+            1,1=32/3
 
         Blank lines and ``#`` comments are ignored.
         """

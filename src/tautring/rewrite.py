@@ -36,8 +36,8 @@ Instance families
     along a diagonal).
 
 The normalizer applies a fixed priority of steps until no step applies;
-the result is supported on standard monomials.  Termination is enforced by a step budget
-and, on the memoized path, by cycle detection.
+the result is supported on standard monomials.  Termination is enforced by a
+step budget, one unit per distinct monomial rewritten, and by cycle detection.
 """
 
 from __future__ import annotations
@@ -340,10 +340,11 @@ def apply_step(m: Monomial, step: Step) -> Polynomial:
 
 
 class _Frame:
-    __slots__ = ("m", "terms", "idx", "acc")
+    __slots__ = ("m", "step", "terms", "idx", "acc")
 
     def __init__(self, m: Monomial):
         self.m = m
+        self.step = None
         self.terms = None
         self.idx = 0
         self.acc = Polynomial.zero()
@@ -354,7 +355,8 @@ class Normalizer:
 
     ``pivot`` picks the anchor of vertex reductions ("min" or "max"); both
     must produce equal normal forms, which the test suite exercises.
-    ``max_steps`` caps the number of rewrite steps a single call may take.
+    ``max_steps`` caps the number of distinct monomials a single call may
+    rewrite.
     """
 
     def __init__(self, ctx: RingContext, pivot: str = "min", max_steps: int = 10 ** 6):
@@ -465,7 +467,7 @@ class Normalizer:
                     return inst, _mono(f, p), Fraction(1)
         return None
 
-    # -- bookkeeping ------------------------------------------------------
+    # -- normalization -----------------------------------------------------
 
     def _spend(self, m: Monomial) -> None:
         self._budget -= 1
@@ -474,14 +476,13 @@ class Normalizer:
                 f"gave up after {self.max_steps} rewrite steps (last monomial: {m!r})"
             )
 
-    # -- memoized normalization (no certificate) ---------------------------
-
-    def normalize_monomial(self, m: Monomial) -> Polynomial:
-        self._budget = self.max_steps
-        return self._normalize_monomial(m)
-
-    def _normalize_monomial(self, m: Monomial) -> Polynomial:
-        memo = self._memo
+    def _normalize_monomial(self, m: Monomial, memo: dict[Monomial, Polynomial],
+                            post: Optional[list[_Frame]]) -> Polynomial:
+        """Walk the rewrite graph of ``m`` depth first, rewriting each
+        monomial not in ``memo`` once.  Without ``post``, return the normal
+        form of ``m`` and memoize those of the monomials reached; with a list
+        ``post``, add up nothing and append the frame of each monomial
+        rewritten in post-order."""
         if m in memo:
             return memo[m]
         gray = {m}
@@ -496,13 +497,15 @@ class Normalizer:
                     stack.pop()
                     continue
                 self._spend(fr.m)
+                fr.step = step
                 fr.terms = list(apply_step(fr.m, step).items())
             while fr.idx < len(fr.terms):
                 child, coeff = fr.terms[fr.idx]
                 got = memo.get(child)
                 if got is None:
                     break
-                fr.acc = fr.acc + got * coeff
+                if post is None:
+                    fr.acc = fr.acc + got * coeff
                 fr.idx += 1
             if fr.idx < len(fr.terms):
                 child = fr.terms[fr.idx][0]
@@ -512,42 +515,37 @@ class Normalizer:
                 stack.append(_Frame(child))
                 continue
             memo[fr.m] = fr.acc
+            if post is not None:
+                post.append(fr)
             gray.discard(fr.m)
             stack.pop()
         return memo[m]
 
-    # -- certified normalization -------------------------------------------
-
-    def normalize_recorded(self, poly: Polynomial) -> tuple[Polynomial, Certificate]:
-        self._budget = self.max_steps
-        work: dict[Monomial, Fraction] = {}
-        for m, c in poly.items():
-            work[m] = work.get(m, Fraction(0)) + c
-        done: dict[Monomial, Fraction] = {}
-        steps: list[CertificateStep] = []
-        while work:
-            m = min(work)
-            c = work.pop(m)
-            if c == 0:
-                continue
-            step = self.find_step(m)
-            if step is None:
-                done[m] = done.get(m, Fraction(0)) + c
-                continue
-            self._spend(m)
-            inst, L, c_L = step
-            steps.append(CertificateStep(inst, m.try_div(L), c / c_L))
-            for m2, c2 in apply_step(m, step).items():
-                work[m2] = work.get(m2, Fraction(0)) + c * c2
-        result = Polynomial(done)
-        return result, Certificate(tuple(steps))
-
     def normalize(self, poly: Polynomial, record: bool = False):
-        """Normal form of ``poly``; with ``record=True`` also the certificate."""
-        if record:
-            return self.normalize_recorded(poly)
+        """Normal form of ``poly``; with ``record=True`` also the certificate.
+
+        The recorded walk has a memo of its own and adds up no normal forms.
+        It pushes the input coefficients through the rewrite graph in reverse
+        post-order instead: each monomial rewritten gives one step scaled by
+        its total coefficient, or none when that cancels to 0, and what
+        reaches the standard monomials is the normal form."""
         self._budget = self.max_steps
-        out = Polynomial.zero()
-        for m, c in poly.items():
-            out = out + self._normalize_monomial(m) * c
-        return out
+        if not record:
+            out = Polynomial.zero()
+            for m, c in poly.items():
+                out = out + self._normalize_monomial(m, self._memo, None) * c
+            return out
+        memo, post = {}, []
+        for m, _ in poly.items():
+            self._normalize_monomial(m, memo, post)
+        flow = dict(poly.raw())
+        steps = []
+        for fr in reversed(post):
+            c = flow.pop(fr.m, 0)
+            if not c:
+                continue
+            inst, L, c_L = fr.step
+            steps.append(CertificateStep(inst, fr.m.try_div(L), c / c_L))
+            for m2, c2 in fr.terms:
+                flow[m2] = flow.get(m2, 0) + c * c2
+        return Polynomial(flow), Certificate(tuple(steps))

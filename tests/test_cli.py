@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tautring.cli import main
+from tautring.cli import ResultCache, main
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -244,7 +244,7 @@ def test_cache_roundtrip(capsys, tmp_path):
     files = list(cache.glob("*.out"))
     assert len(files) == 1
     # prove the second run is served from the cache
-    files[0].write_text("SENTINEL\n")
+    ResultCache(str(cache)).store(files[0].stem, "SENTINEL\n")
     rc2, out2, _ = run(capsys, argv)
     assert rc2 == 0 and out2 == "SENTINEL\n"
 
@@ -272,6 +272,22 @@ def test_cached_verify_preserves_exit_code(capsys, tmp_path):
     rc1, out1, _ = run(capsys, argv)
     rc2, out2, _ = run(capsys, argv)
     assert (rc1, out1) == (rc2, out2) == (0, out1)
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["verify", "--g", "2", "--n", "3", "--format", "json"], 100),
+    (["pairing", "--g", "2", "--n", "3", "--k", "1", "--format", "json"], 50),
+], ids=["verify", "pairing"])
+def test_truncated_cache_entry_is_recomputed(capsys, tmp_path, argv, size):
+    cache = tmp_path / "cache"
+    rc1, out1, _ = run(capsys, argv)
+    run(capsys, argv + ["--cache-dir", str(cache)])
+    [entry] = cache.glob("*.out")
+    entry.write_bytes(entry.read_bytes()[:size])
+    rc2, out2, _ = run(capsys, argv + ["--cache-dir", str(cache)])
+    assert (rc2, out2) == (rc1, out1)
+    # the damaged entry was overwritten with the fresh result
+    assert ResultCache(str(cache)).load(entry.stem) == out1
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

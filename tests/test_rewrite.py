@@ -256,6 +256,17 @@ def test_recorded_matches_memoized(ctx23):
         assert cert.verify(src, slow)
 
 
+def test_certificate_rewrites_each_monomial_once():
+    """The rewrite graph of D(2,4,5)^5 at (3, 5) has 534 distinct monomials
+    that take a step; a recorded run that rewrote a monomial again each time
+    it was regenerated would need tens of thousands of steps."""
+    ctx = RingContext(3, 5)
+    src = parse_polynomial(ctx, "D(2,4,5)^5")
+    out, cert = Normalizer(ctx, max_steps=1000).normalize(src, record=True)
+    assert cert.verify(src, out)
+    assert out == Normalizer(ctx).normalize(src)
+
+
 # -- normal form properties -------------------------------------------------------
 
 
