@@ -16,6 +16,7 @@ deterministic.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -211,7 +212,29 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        return Monomial.from_pairs(self.pairs + other.pairs)
+        a, b = self.pairs, other.pairs
+        if not b:
+            return self
+        if not a:
+            return other
+        # both factor tuples are sorted by symbol key: merge them
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ka, kb = a[i][0].key, b[j][0].key
+            if ka < kb:
+                out.append(a[i])
+                i += 1
+            elif kb < ka:
+                out.append(b[j])
+                j += 1
+            else:
+                out.append((a[i][0], a[i][1] + b[j][1]))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return Monomial(tuple(out))
 
     def __pow__(self, e: int) -> "Monomial":
         if e < 0:
@@ -410,18 +433,97 @@ def relabel(ctx: RingContext, poly: Polynomial, sigma: Mapping[int, int] | Seque
     return Polynomial(out)
 
 
+def _symbol_image(s: Symbol, sigma) -> Symbol:
+    """``s`` with every marking index ``i`` replaced by ``sigma[i]``."""
+    if s.kind == KAPPA:
+        return s
+    if s.kind == POINT:
+        return point_k(sigma[s.params[0]])
+    if s.kind == DIAG:
+        return diag(sigma[s.params[0]], sigma[s.params[1]])
+    return exc(sigma[i] for i in s.params[0])
+
+
 def relabel_monomial(m: Monomial, sigma: Mapping[int, int]) -> Monomial:
-    pairs = []
+    return Monomial.from_pairs((_symbol_image(s, sigma), e) for s, e in m.pairs)
+
+
+class _Images(dict):
+    """Symbol images under the relabelling that gives marking ``order[t]``
+    the label ``t + 1``, computed on first use."""
+
+    __slots__ = ("sigma",)
+
+    def __init__(self, order: tuple[int, ...]):
+        super().__init__()
+        self.sigma = {i: t for t, i in enumerate(order, start=1)}
+
+    def __missing__(self, s: Symbol) -> Symbol:
+        img = self[s] = _symbol_image(s, self.sigma)
+        return img
+
+
+# one table per marking order tried by canonical_monomial; entries depend
+# only on their keys, like the caches of the symbol factories
+_IMAGES: dict[tuple[int, ...], _Images] = {}
+
+
+def _pair_order(p: tuple[Symbol, int]) -> tuple:
+    return p[0].key
+
+
+def canonical_monomial(m: Monomial, n: int) -> Monomial:
+    """The representative of the orbit of ``m`` under relabelling markings 1..n.
+
+    Each marking gets an invariant signature: the exponent of its ``K``, the
+    sorted exponents of the diagonals at it, and the sorted ``(|I|, e)`` of
+    the ``D(I)^e`` that contain it.  A relabelling is *admissible* when it
+    gives the markings labels in signature order; the representative is the
+    relabelling of least :attr:`Monomial.sort_key` among the admissible ones,
+    so only permutations inside classes of equal signature are tried.
+    Relabelling ``m`` permutes the signatures along with it, so the
+    representative is the same for every monomial of the orbit, lies in
+    that orbit, and is its own representative.  Returns ``m`` itself when it
+    is the representative.
+    """
+    point = [0] * (n + 1)
+    diags: list[list[int]] = [[] for _ in range(n + 1)]
+    excs: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for s, e in m.pairs:
-        if s.kind == KAPPA:
-            pairs.append((s, e))
-        elif s.kind == POINT:
-            pairs.append((point_k(sigma[s.params[0]]), e))
+        if s.kind == POINT:
+            point[s.params[0]] = e
         elif s.kind == DIAG:
-            pairs.append((diag(sigma[s.params[0]], sigma[s.params[1]]), e))
-        else:
-            pairs.append((exc(sigma[i] for i in s.params[0]), e))
-    return Monomial.from_pairs(pairs)
+            diags[s.params[0]].append(e)
+            diags[s.params[1]].append(e)
+        elif s.kind == EXC:
+            t = (len(s.params[0]), e)
+            for i in s.params[0]:
+                excs[i].append(t)
+    sig = [None] + [(point[i], sorted(diags[i]), sorted(excs[i])) for i in range(1, n + 1)]
+    order = sorted(range(1, n + 1), key=sig.__getitem__)
+    classes = []
+    start = 0
+    for t in range(1, n + 1):
+        if t == n or sig[order[t]] != sig[order[start]]:
+            cls = tuple(order[start:t])
+            # permuting markings that no factor touches changes nothing
+            if len(cls) > 1 and sig[cls[0]] != (0, [], []):
+                classes.append(itertools.permutations(cls))
+            else:
+                classes.append((cls,))
+            start = t
+    best = best_key = None
+    for arrangement in itertools.product(*classes):
+        seq = tuple(itertools.chain.from_iterable(arrangement))
+        images = _IMAGES.get(seq)
+        if images is None:
+            images = _IMAGES[seq] = _Images(seq)
+        key = sorted([(images[s].key, e) for s, e in m.pairs])
+        if best_key is None or key < best_key:
+            best, best_key = images, key
+    if best_key == [(s.key, e) for s, e in m.pairs]:
+        return m
+    return Monomial(tuple(sorted(((best[s], e) for s, e in m.pairs), key=_pair_order)))
 
 
 def kappa_truncate(ctx: RingContext, poly: Polynomial) -> Polynomial:

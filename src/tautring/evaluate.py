@@ -18,7 +18,8 @@ by the value of the socle monomial so that the socle evaluates to one.
 
 Monomials that do carry exceptional factors are first rewritten to normal
 form; at top degree the normal form is supported on exceptional-free
-monomials, which the contraction handles.
+monomials, which the contraction handles.  :class:`Evaluator` does this for
+one representative per orbit of the symmetric group on the markings.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ from .core import (
     Polynomial,
     RingContext,
     UNIT,
+    canonical_monomial,
     diag,
     kappa,
     point_k,
 )
 from .forest import _partitions_bounded
-from .rewrite import Normalizer
+from .rewrite import NonTermination, Normalizer
 
 
 class EvaluationError(ValueError):
@@ -250,7 +252,14 @@ def evaluate_free(
 
 
 class Evaluator:
-    """Normalize-then-evaluate pipeline with per-monomial memoization."""
+    """Normalize-then-evaluate pipeline, memoized once per orbit of S_n.
+
+    Relabelling the markings is a ring automorphism that fixes the kappa
+    classes and the socle, so the value of a monomial is the value of the
+    representative of its orbit (:func:`~tautring.core.canonical_monomial`).
+    Only representatives are normalized and contracted; each value is
+    memoized under the monomial asked for and under its representative.
+    """
 
     def __init__(self, ctx: RingContext, table: Optional[KappaTable] = None,
                  normalizer: Optional[Normalizer] = None):
@@ -273,6 +282,20 @@ class Evaluator:
             raise DegreeError(
                 f"{m!r} has degree {m.degree}, expected top degree {ctx.top_degree}"
             )
+        rep = canonical_monomial(m, ctx.n)
+        total = self._memo.get(rep)
+        if total is None:
+            try:
+                total = self._evaluate_representative(rep)
+            except (EvaluationError, NonTermination) as err:
+                if rep is m:
+                    raise
+                raise type(err)(f"{err} (evaluating {m!r} as its relabelling {rep!r})") from err
+            self._memo[rep] = total
+        self._memo[m] = total
+        return total
+
+    def _evaluate_representative(self, m: Monomial) -> Fraction:
         nf = self.normalizer.normalize(Polynomial.monomial(m))
         total = Fraction(0)
         for t, c in nf.items():
@@ -280,8 +303,7 @@ class Evaluator:
                 raise EvaluationError(
                     f"normal form of {m!r} kept exceptional factors in {t!r}"
                 )
-            total += c * evaluate_free(ctx, self.table, t)
-        self._memo[m] = total
+            total += c * evaluate_free(self.ctx, self.table, t)
         return total
 
     def evaluate(self, poly: Polynomial) -> Fraction:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Monomial, RingContext
+from .core import Monomial, RingContext, canonical_monomial
 from .evaluate import Evaluator, KappaTable, evaluate_free
 from .forest import (
     StandardMonomial,
@@ -162,8 +162,19 @@ def pairing_matrix(ctx: RingContext, k: int, evaluator: Optional[Evaluator] = No
 
 
 def _parallel_entries(ctx, evaluator, rows, cols, parallelism):
-    keys = [[repr(r.monomial * c.monomial) for c in cols] for r in rows]
-    unique = sorted({s for krow in keys for s in krow})
+    # workers evaluate one representative per S_n orbit of the products
+    rep_text: dict[Monomial, str] = {}
+    keys = []
+    for r in rows:
+        krow = []
+        for c in cols:
+            m = r.monomial * c.monomial
+            text = rep_text.get(m)
+            if text is None:
+                text = rep_text[m] = repr(canonical_monomial(m, ctx.n))
+            krow.append(text)
+        keys.append(krow)
+    unique = sorted(set(rep_text.values()))
     n_chunks = min(len(unique), parallelism * 4)
     size = -(-len(unique) // n_chunks)
     chunks = [unique[i:i + size] for i in range(0, len(unique), size)]
@@ -271,6 +282,7 @@ def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = 
     if table is None:
         table = KappaTable.builtin(ctx.g)
     out = []
+    reference: dict[tuple[tuple[int, ...], Monomial], Fraction] = {}
     for block in matrix.blocks():
         if not block.n_rows or not block.n_cols:
             continue
@@ -280,10 +292,16 @@ def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = 
         sub = matrix.submatrix(block)
         brows = matrix.rows[block.row_start:block.row_stop]
         bcols = matrix.cols[block.col_start:block.col_stop]
-        ref = [
-            [evaluate_free(ctx, table, r.apart * c.apart, markings=S) for c in bcols]
-            for r in brows
-        ]
+        ref = []
+        for r in brows:
+            ref_row = []
+            for c in bcols:
+                key = (S, r.apart * c.apart)
+                v = reference.get(key)
+                if v is None:
+                    v = reference[key] = evaluate_free(ctx, table, key[1], markings=S)
+                ref_row.append(v)
+            ref.append(ref_row)
         constant = None
         for i in range(len(brows)):
             for j in range(len(bcols)):

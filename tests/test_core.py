@@ -189,3 +189,11 @@ def test_parts_recombine(m):
 @given(monomials, monomials)
 def test_monomial_order_total(a, b):
     assert (a < b) + (b < a) + (a == b) == 1
+
+
+@given(monomials, monomials)
+def test_product_merges_like_from_pairs(a, b):
+    prod = a * b
+    ref = Monomial.from_pairs(a.pairs + b.pairs)
+    assert prod == ref
+    assert prod.pairs == ref.pairs

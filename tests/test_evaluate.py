@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,12 @@ from tautring import (
     KappaTable,
     KappaTableError,
     Monomial,
+    NonTermination,
+    Normalizer,
+    Polynomial,
     RingContext,
     diag,
+    enumerate_basis,
     evaluate_free,
     exc,
     kappa,
@@ -19,7 +25,9 @@ from tautring import (
     point_k,
     socle_monomial,
 )
+from tautring.core import canonical_monomial, relabel_monomial
 from tautring.evaluate import socle_raw_value
+from tautring.pairing import dual_label
 
 
 def mono(*syms):
@@ -256,3 +264,97 @@ def test_marking_subset_evaluation():
     t = KappaTable.builtin(2)
     m = parse_monomial(ctx, "K1*K2")
     assert evaluate_free(ctx, t, m, markings=(1, 2)) == Fraction(1, 2)
+
+
+# -- one evaluation per S_n orbit ------------------------------------------------------
+
+
+def _sample_products(ctx, count, seed, exceptional=False):
+    """Products of standard monomials of complementary degrees, as the
+    pairing matrices form them.  With ``exceptional``, only products inside
+    a diagonal block with a nonempty exceptional part."""
+    rng = random.Random(seed)
+    top = ctx.top_degree
+    bases = [enumerate_basis(ctx, k) for k in range(top + 1)]
+    out = []
+    while len(out) < count:
+        k = rng.randrange(top + 1)
+        r = rng.choice(bases[k])
+        cols = bases[top - k]
+        if exceptional:
+            if not r.dpart.pairs:
+                continue
+            cols = [c for c in cols if dual_label(c) == r.dpart]
+            if not cols:
+                continue
+        out.append(r.monomial * rng.choice(cols).monomial)
+    return out
+
+
+def _relabelling(perm):
+    return {i: v for i, v in enumerate(perm, start=1)}
+
+
+@pytest.mark.parametrize("g,n", [(2, 3), (2, 4), (3, 4)])
+def test_canonical_monomial_picks_one_member_of_each_orbit(g, n):
+    ctx = RingContext(g, n)
+    for m in _sample_products(ctx, 60, seed=g * 10 + n):
+        orbit = {relabel_monomial(m, _relabelling(p)) for p in itertools.permutations(ctx.markings)}
+        reps = {canonical_monomial(x, n) for x in orbit}
+        assert len(reps) == 1
+        rep = reps.pop()
+        assert rep in orbit
+        assert canonical_monomial(rep, n) is rep
+
+
+def _value_without_orbits(ctx, table, m):
+    nf = Normalizer(ctx).normalize(Polynomial.monomial(m))
+    return sum((c * evaluate_free(ctx, table, t) for t, c in nf.items()), Fraction(0))
+
+
+@pytest.mark.parametrize("g,n,count", [(2, 4, 40), (3, 4, 40), (2, 5, 24)])
+def test_value_is_invariant_under_relabelling(g, n, count):
+    # normalizes each product and one relabelling of it directly, so an
+    # asymmetry in the normalizer cannot hide behind the orbit memo.  Most
+    # products vanish, and nonzero ones with exceptional factors sit in the
+    # diagonal blocks, so the sample keeps `count` nonzero products, half as
+    # many nonzero ones with exceptional factors and a quarter as many zeros.
+    ctx = RingContext(g, n)
+    table = KappaTable.builtin(g)
+    ev = Evaluator(ctx)
+    seed = g * 10 + n
+    products = _sample_products(ctx, 20 * count, seed)
+    blocks = _sample_products(ctx, 4 * count, seed, exceptional=True)
+    sample = (
+        [m for m in products if ev.evaluate_monomial(m)][:count]
+        + [m for m in blocks if ev.evaluate_monomial(m)][:count // 2]
+        + [m for m in products if not ev.evaluate_monomial(m)][:count // 4]
+    )
+    assert len(sample) == count + count // 2 + count // 4
+    rng = random.Random(seed)
+    for m in sample:
+        perm = list(ctx.markings)
+        rng.shuffle(perm)
+        moved = relabel_monomial(m, _relabelling(perm))
+        value = ev.evaluate_monomial(m)
+        assert _value_without_orbits(ctx, table, m) == value
+        assert _value_without_orbits(ctx, table, moved) == value
+
+
+def test_evaluator_memoizes_under_the_representative():
+    ctx = RingContext(2, 3)
+    ev = Evaluator(ctx)
+    m = parse_monomial(ctx, "K1*d(2,3)*D(1,2,3)")
+    rep = canonical_monomial(m, 3)
+    assert rep != m
+    value = ev.evaluate_monomial(m)
+    assert ev._memo[m] == ev._memo[rep] == value
+
+
+def test_evaluation_error_names_the_monomial_asked_for():
+    ctx = RingContext(2, 3)
+    ev = Evaluator(ctx, normalizer=Normalizer(ctx, max_steps=1))
+    m = parse_monomial(ctx, "K1*d(2,3)*D(1,2,3)")
+    assert canonical_monomial(m, 3) != m
+    with pytest.raises(NonTermination, match=re.escape(repr(m))):
+        ev.evaluate_monomial(m)
