@@ -32,7 +32,7 @@ from .core import RingContext
 from .evaluate import EvaluationError, Evaluator, KappaTable, KappaTableError
 from .forest import enumerate_basis
 from .grammar import GrammarError, parse_monomial, parse_polynomial
-from .pairing import check_duality_classes, conjecture_check, pairing_matrix
+from .pairing import check_duality_classes, conjecture_check, is_gorenstein, pairing_matrix
 from .rewrite import NonTermination, Normalizer
 
 
@@ -207,7 +207,7 @@ def _matrix_payload(matrix) -> dict:
                 "label": repr(b.label),
                 "rows": [b.row_start, b.row_stop],
             }
-            for b in matrix.blocks()
+            for b in matrix.blocks
         ],
         "cols": [repr(sm.monomial) for sm in matrix.cols],
         "entries": [[str(v) for v in row] for row in matrix.entries],
@@ -296,7 +296,7 @@ def _verify_data(args, ctx: RingContext, table: KappaTable) -> dict:
     }
     if args.k is None:
         dims = [c["rank"] for c in checks]
-        palindromic = dims == dims[::-1] and dims[0] == 1 and dims[-1] == 1
+        palindromic = is_gorenstein(dims)
         data["dims"] = dims
         data["dims_palindromic"] = palindromic
         all_ok = all_ok and palindromic
@@ -402,6 +402,12 @@ def _cmd_normalize(args) -> int:
 # parser
 
 
+PARALLELISM_HELP = (
+    "worker processes for the matrix fill (default 1); the output never "
+    "depends on it, and on a 2-vCPU machine 2 is slower than serial"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tautring",
@@ -431,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k", type=int, required=True, help="row degree")
     p.add_argument("--kappa-table", help="kappa table file (required for g >= 4)")
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=int, default=1, help=PARALLELISM_HELP)
     p.add_argument("--cache-dir", help="cache results under this directory")
     p.set_defaults(func=_cmd_pairing)
 
@@ -439,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, formats=("text", "json"))
     p.add_argument("--k", type=int, default=None, help="single degree (default: all)")
     p.add_argument("--kappa-table", help="kappa table file (required for g >= 4)")
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=int, default=1, help=PARALLELISM_HELP)
     p.add_argument("--cache-dir", help="cache results under this directory")
     p.set_defaults(func=_cmd_verify)
 

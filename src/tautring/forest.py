@@ -491,6 +491,19 @@ def count_cluster_monomials(ctx: RingContext, S: Iterable[int], degree: int) -> 
     return len(cluster_monomials(ctx, S, degree))
 
 
+def forest_basis(ctx: RingContext, forest: ExceptionalForest, k: int) -> list[StandardMonomial]:
+    """Standard monomials of degree ``k`` whose exceptional part is ``forest``,
+    in the canonical monomial order."""
+    S = marking_set(ctx, forest)
+    adeg = k - sum(e for _, e in forest.vertices)
+    if not 0 <= adeg <= ctx.g - 2 + len(S):
+        return []
+    dmon = dpart_monomial(forest)
+    p = filtration_level(adeg, forest)
+    return [StandardMonomial(apart * dmon, forest, S, p)
+            for apart in cluster_monomials(ctx, S, adeg)]
+
+
 def enumerate_basis(ctx: RingContext, k: int) -> list[StandardMonomial]:
     """All standard monomials of degree ``k``, ordered block-contiguously.
 
@@ -499,17 +512,4 @@ def enumerate_basis(ctx: RingContext, k: int) -> list[StandardMonomial]:
     """
     if k < 0 or k > ctx.top_degree:
         return []
-    out: list[StandardMonomial] = []
-    for forest in admissible_dparts(ctx):
-        ddeg = sum(e for _, e in forest.vertices)
-        if ddeg > k:
-            continue
-        S = marking_set(ctx, forest)
-        adeg = k - ddeg
-        if adeg > ctx.g - 2 + len(S):
-            continue
-        dmon = dpart_monomial(forest)
-        for apart in cluster_monomials(ctx, S, adeg):
-            mon = apart * dmon
-            out.append(StandardMonomial(mon, forest, S, filtration_level(adeg, forest)))
-    return out
+    return [sm for forest in admissible_dparts(ctx) for sm in forest_basis(ctx, forest, k)]

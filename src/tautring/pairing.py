@@ -2,9 +2,12 @@
 
 The degree-``k`` matrix pairs the standard basis of degree ``k`` (rows)
 against the one of degree ``top - k`` (columns): the entry is the socle
-evaluation of the product.  Rows are grouped by exceptional part, columns
-by the *dual* exceptional part (exponents reflected through their budgets),
-so the conjectured structure is visible directly:
+evaluation of the product.  The matrix is laid out block by block, one
+block per admissible exceptional part ``P`` in layout order: its rows have
+exceptional part ``P`` and its columns the *dual* part ``dual(P)``
+(exponents reflected through their budgets).  Since the product commutes,
+block ``P`` of degree ``top - k`` is the transpose of block ``dual(P)`` of
+degree ``k``.  The conjectured structure is then visible directly:
 
 * entries vanish whenever one side's exceptional sets all lie strictly
   below the other side's and a filtration bound overshoots the top degree
@@ -32,14 +35,13 @@ from typing import Optional, Sequence
 from .core import Monomial, RingContext, canonical_monomial
 from .evaluate import Evaluator, KappaTable, evaluate_free
 from .forest import (
+    ExceptionalForest,
     StandardMonomial,
     admissible_dparts,
-    build_forest,
     count_cluster_monomials,
     dpart_monomial,
-    dpart_sort_key,
     dual_forest,
-    enumerate_basis,
+    forest_basis,
     ll_monomials,
     marking_set,
 )
@@ -61,7 +63,12 @@ def dual_label(sm: StandardMonomial) -> Monomial:
 
 @dataclass(frozen=True)
 class PairingBlock:
+    """Rows with exceptional part ``forest`` against the columns with part
+    ``dual_forest(forest)``; ``S`` is the forest's sorted marking set."""
+
     label: Monomial
+    forest: ExceptionalForest
+    S: tuple[int, ...]
     row_start: int
     row_stop: int
     col_start: int
@@ -83,6 +90,7 @@ class PairingMatrix:
     rows: tuple[StandardMonomial, ...]
     cols: tuple[StandardMonomial, ...]
     entries: tuple[tuple[Fraction, ...], ...]
+    blocks: tuple[PairingBlock, ...]
 
     def rank(self) -> int:
         return exact_rank(self.entries)
@@ -92,31 +100,6 @@ class PairingMatrix:
             list(row[block.col_start:block.col_stop])
             for row in self.entries[block.row_start:block.row_stop]
         ]
-
-    def blocks(self) -> list[PairingBlock]:
-        """Diagonal-aligned blocks, one per exceptional-part label."""
-        row_ranges = _label_ranges(self.rows, lambda sm: sm.dpart)
-        col_ranges = _label_ranges(self.cols, dual_label)
-        labels = sorted(set(row_ranges) | set(col_ranges), key=dpart_sort_key)
-        out = []
-        for label in labels:
-            ra, rb = row_ranges.get(label, (0, 0))
-            ca, cb = col_ranges.get(label, (0, 0))
-            out.append(PairingBlock(label, ra, rb, ca, cb))
-        return out
-
-
-def _label_ranges(items: Sequence[StandardMonomial], labelfn) -> dict[Monomial, tuple[int, int]]:
-    out: dict[Monomial, tuple[int, int]] = {}
-    start = 0
-    for i in range(1, len(items) + 1):
-        if i == len(items) or labelfn(items[i]) != labelfn(items[start]):
-            label = labelfn(items[start])
-            if label in out:
-                raise AssertionError(f"label {label!r} is not contiguous")
-            out[label] = (start, i)
-            start = i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +129,17 @@ def pairing_matrix(ctx: RingContext, k: int, evaluator: Optional[Evaluator] = No
         raise ValueError(f"degree {k} outside 0..{ctx.top_degree}")
     if evaluator is None:
         evaluator = Evaluator(ctx)
-    rows = tuple(enumerate_basis(ctx, k))
-    cols = tuple(sorted(
-        enumerate_basis(ctx, ctx.top_degree - k),
-        key=lambda sm: (dpart_sort_key(dual_label(sm)), sm.monomial.sort_key),
-    ))
+    rows, cols, blocks = [], [], []
+    for forest in admissible_dparts(ctx):
+        brows = forest_basis(ctx, forest, k)
+        bcols = forest_basis(ctx, dual_forest(forest), ctx.top_degree - k)
+        if brows or bcols:
+            blocks.append(PairingBlock(
+                dpart_monomial(forest), forest, tuple(sorted(marking_set(ctx, forest))),
+                len(rows), len(rows) + len(brows), len(cols), len(cols) + len(bcols),
+            ))
+            rows += brows
+            cols += bcols
     if parallelism > 1 and rows and cols:
         entries = _parallel_entries(ctx, evaluator, rows, cols, parallelism)
     else:
@@ -158,7 +147,7 @@ def pairing_matrix(ctx: RingContext, k: int, evaluator: Optional[Evaluator] = No
             tuple(evaluator.evaluate_monomial(r.monomial * c.monomial) for c in cols)
             for r in rows
         )
-    return PairingMatrix(ctx, k, rows, cols, entries)
+    return PairingMatrix(ctx, k, tuple(rows), tuple(cols), entries, tuple(blocks))
 
 
 def _parallel_entries(ctx, evaluator, rows, cols, parallelism):
@@ -223,24 +212,22 @@ def subdiagonal_block_violations(matrix: PairingMatrix) -> tuple[tuple, ...]:
     or the other); all of its entries must then vanish.
     """
     top = matrix.ctx.top_degree
-    row_ranges = _label_ranges(matrix.rows, lambda sm: sm.dpart)
-    col_ranges = _label_ranges(matrix.cols, dual_label)
     bad = []
-    for plabel, (ra, rb) in row_ranges.items():
-        for qlabel, (ca, cb) in col_ranges.items():
-            if plabel == qlabel:
+    for p in matrix.blocks:
+        for q in matrix.blocks:
+            if p is q:
                 continue
             if not all(
                 (ll_monomials(r.monomial, c.monomial) and c.p + r.degree > top)
                 or (ll_monomials(c.monomial, r.monomial) and r.p + c.degree > top)
-                for r in matrix.rows[ra:rb]
-                for c in matrix.cols[ca:cb]
+                for r in matrix.rows[p.row_start:p.row_stop]
+                for c in matrix.cols[q.col_start:q.col_stop]
             ):
                 continue
-            for i in range(ra, rb):
-                for j in range(ca, cb):
+            for i in range(p.row_start, p.row_stop):
+                for j in range(q.col_start, q.col_stop):
                     if matrix.entries[i][j]:
-                        bad.append((repr(plabel), repr(qlabel), i, j, matrix.entries[i][j]))
+                        bad.append((repr(p.label), repr(q.label), i, j, matrix.entries[i][j]))
     return tuple(bad)
 
 
@@ -283,12 +270,9 @@ def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = 
         table = KappaTable.builtin(ctx.g)
     out = []
     reference: dict[tuple[tuple[int, ...], Monomial], Fraction] = {}
-    for block in matrix.blocks():
-        if not block.n_rows or not block.n_cols:
-            continue
-        forest = build_forest(ctx, block.label)
-        S = tuple(sorted(marking_set(ctx, forest)))
-        eps = forest.epsilon()
+    for block in matrix.blocks:
+        S = block.S
+        eps = block.forest.epsilon()
         sub = matrix.submatrix(block)
         brows = matrix.rows[block.row_start:block.row_stop]
         bcols = matrix.cols[block.col_start:block.col_stop]
@@ -416,12 +400,17 @@ def check_duality_classes(ctx: RingContext, k: int) -> list[tuple]:
     return bad
 
 
+def is_gorenstein(dims: Sequence[int]) -> bool:
+    """Whether a rank sequence is palindromic with 1 in degrees 0 and top."""
+    return dims == dims[::-1] and dims[0] == dims[-1] == 1
+
+
 def gorenstein_dims(ctx: RingContext, evaluator: Optional[Evaluator] = None,
                     parallelism: int = 1, strict: bool = True) -> tuple[int, ...]:
     """Rank of the pairing matrix in every degree.
 
     With ``strict=True`` (default) raises :class:`GorensteinSymmetryError`
-    unless the sequence is palindromic with 1 in degrees 0 and top.
+    unless :func:`is_gorenstein` holds for the sequence.
     """
     if evaluator is None:
         evaluator = Evaluator(ctx)
@@ -429,9 +418,8 @@ def gorenstein_dims(ctx: RingContext, evaluator: Optional[Evaluator] = None,
         pairing_matrix(ctx, k, evaluator, parallelism).rank()
         for k in range(ctx.top_degree + 1)
     )
-    if strict:
-        if dims != dims[::-1]:
-            raise GorensteinSymmetryError(f"rank sequence {dims} is not palindromic")
-        if dims[0] != 1 or dims[-1] != 1:
-            raise GorensteinSymmetryError(f"rank sequence {dims} must be 1 at the ends")
+    if strict and not is_gorenstein(dims):
+        raise GorensteinSymmetryError(
+            f"rank sequence {dims} is not palindromic with 1 at both ends"
+        )
     return dims

@@ -19,6 +19,7 @@ from tautring import (
     verify_triangular,
 )
 from tautring.linalg import exact_det, exact_rank
+from tautring.forest import dpart_monomial, dual_forest
 from tautring.pairing import block_constant_reports, dual_label
 
 from conftest import get_matrices
@@ -215,7 +216,7 @@ def test_strict_proportionality_raises_on_tampered_block():
     ctx, ev, ms = get_matrices(2, 3)
     m = ms[1]
     # scale a single entry in a two-entry diagonal block
-    blocks = [b for b in m.blocks() if b.n_rows > 1 and b.n_cols > 1]
+    blocks = [b for b in m.blocks if b.n_rows > 1 and b.n_cols > 1]
     assert blocks
     b = blocks[0]
     rows = [list(r) for r in m.entries]
@@ -236,13 +237,42 @@ def test_strict_proportionality_raises_on_tampered_block():
 
 
 def test_block_columns_use_dual_labels():
-    ctx, ev, ms = get_matrices(2, 3)
-    m = ms[1]
-    for block in m.blocks():
-        for r in m.rows[block.row_start:block.row_stop]:
-            assert r.dpart == block.label
-        for c in m.cols[block.col_start:block.col_stop]:
-            assert dual_label(c) == block.label
+    """Block P pairs the rows with part P against the columns whose dual part
+    is P, and the blocks tile the rows and the columns with no side empty."""
+    for g in (2, 3):
+        for n in (1, 2, 3, 4):
+            for m in get_matrices(g, n)[2]:
+                row_stop = col_stop = 0
+                for block in m.blocks:
+                    assert (block.row_start, block.col_start) == (row_stop, col_stop)
+                    assert block.n_rows > 0 and block.n_cols > 0
+                    row_stop, col_stop = block.row_stop, block.col_stop
+                    for r in m.rows[block.row_start:block.row_stop]:
+                        assert r.dpart == block.label
+                    for c in m.cols[block.col_start:block.col_stop]:
+                        assert dual_label(c) == block.label
+                assert (row_stop, col_stop) == (len(m.rows), len(m.cols))
+
+
+def _monomials(sms):
+    return [sm.monomial for sm in sms]
+
+
+@pytest.mark.parametrize("g,n", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_block_of_degree_top_minus_k_is_transpose_of_dual_block(g, n):
+    """Commutativity of the product: block P of degree top - k is the
+    transpose of block dual(P) of degree k."""
+    ctx, ev, ms = get_matrices(g, n)
+    for m in ms:
+        t = ms[ctx.top_degree - m.k]
+        by_label = {b.label: b for b in t.blocks}
+        for p in m.blocks:
+            d = by_label[dpart_monomial(dual_forest(p.forest))]
+            assert _monomials(m.rows[p.row_start:p.row_stop]) \
+                == _monomials(t.cols[d.col_start:d.col_stop])
+            assert _monomials(m.cols[p.col_start:p.col_stop]) \
+                == _monomials(t.rows[d.row_start:d.row_stop])
+            assert m.submatrix(p) == [list(col) for col in zip(*t.submatrix(d))]
 
 
 # -- duality of classes ----------------------------------------------------------------
