@@ -1,9 +1,21 @@
 """Exact rank and determinant of rational matrices.
 
-Rank uses fraction-free Bareiss elimination on integers (each row is first
-scaled by its denominators' least common multiple, which changes neither
-rank nor the zero pattern), so intermediate values stay integral and exact.
-Pivoting is deterministic: the first row with a nonzero entry wins.
+Rank is an incremental row echelon over the integers on sparse rows.  Each
+row is read once as ``{col: int}``: its nonzero entries, scaled by the lcm
+of their denominators over the gcd of their numerators, which leaves the
+row integral and content-free.  It is reduced by the stored pivot rows,
+leading column first: holding ``a`` where the pivot row leads with ``b``,
+it becomes ``row·(b/g) − pivot·(a/g)`` with ``g = gcd(a, b)``, divided by
+the gcd of its entries.  A row that keeps an entry becomes the pivot row
+of its leading column, and the rank is the number of pivot rows.
+
+Rank does not depend on the pivot order, so no choice made here can change
+a result.  Entries stay small: if R are the input rows behind the pivot
+rows and P their leading columns, a fully reduced row r is a multiple of
+the vector of minors of the scaled input rows R + {r} on the columns
+P + {j} (Cramer's rule).  Those minors are integers, so no entry of the
+content-free r exceeds the minor for its column in absolute value, and
+Bareiss elimination stores minors of this kind as they are.
 """
 
 from __future__ import annotations
@@ -13,40 +25,38 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in fr)) if fr else 1
-        out.append([int(x * den) for x in fr])
-    return out
-
-
 def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    M = _integer_rows(rows)
-    if not M or not M[0]:
-        return 0
-    n_rows, n_cols = len(M), len(M[0])
-    if any(len(r) != n_cols for r in M):
-        raise ValueError("ragged matrix")
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if M[i][c]), None)
-        if pivot is None:
+    """Rank of rows of ``Fraction`` or ``int``; ``ValueError`` if ragged."""
+    pivots: dict[int, dict[int, int]] = {}
+    width = None
+    for row in rows:
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError("ragged matrix")
+        entries = {j: x for j, x in enumerate(row) if x}
+        if not entries:
             continue
-        M[r], M[pivot] = M[pivot], M[r]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                M[i][j] = (M[i][j] * M[r][c] - M[i][c] * M[r][j]) // prev
-            M[i][c] = 0
-        prev = M[r][c]
-        rank += 1
-        r += 1
-        if r == n_rows:
-            break
-    return rank
+        den = math.lcm(*(x.denominator for x in entries.values()))
+        num = math.gcd(*(x.numerator for x in entries.values()))
+        vec = {j: x.numerator // num * (den // x.denominator) for j, x in entries.items()}
+        for c in sorted(pivots):
+            a = vec.get(c)
+            if a is None:
+                continue
+            pivot = pivots[c]
+            g = math.gcd(a, pivot[c])
+            a, b = a // g, pivot[c] // g
+            vec = {j: v * b for j, v in vec.items()}
+            for j, v in pivot.items():
+                vec[j] = vec.get(j, 0) - v * a
+            content = math.gcd(*vec.values())
+            if not content:
+                break
+            vec = {j: v // content for j, v in vec.items() if v}
+        else:  # the row did not reduce to zero
+            pivots[min(vec)] = vec
+    return len(pivots)
 
 
 def exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:

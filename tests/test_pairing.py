@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from tautring import (
 )
 from tautring.linalg import exact_det, exact_rank
 from tautring.forest import dpart_monomial, dual_forest
+from tautring import pairing as pairing_module
 from tautring.pairing import block_constant_reports, dual_label
 
 from conftest import get_matrices
@@ -33,10 +36,120 @@ F = Fraction
 
 def test_exact_rank():
     assert exact_rank([]) == 0
+    assert exact_rank([[]]) == 0
+    assert exact_rank([[], []]) == 0
     assert exact_rank([[F(0), F(0)]]) == 0
+    assert exact_rank([[F(0), F(0)], [F(0), F(0)], [F(0), F(0)]]) == 0
     assert exact_rank([[F(1, 3), F(2, 3)], [F(1), F(2)]]) == 1
     assert exact_rank([[F(1), F(0)], [F(0), F(1)]]) == 2
     assert exact_rank([[F(2), F(3), F(5)], [F(7), F(11), F(13)]]) == 2
+    assert exact_rank([[1, 2], [2, 4], [0, 3]]) == 2
+
+
+@pytest.mark.parametrize("rows", [
+    [[], [F(1)]],
+    [[F(1)], []],
+    [[F(1), F(0)], [F(1)]],
+    [[F(0), F(0)], [F(0)]],
+    [[F(1), F(2)], [F(2), F(4)], [F(1), F(2), F(3)]],
+])
+def test_exact_rank_rejects_ragged_rows(rows):
+    with pytest.raises(ValueError, match="ragged matrix"):
+        exact_rank(rows)
+
+
+def _bareiss_rank(rows):
+    """Reference rank: dense fraction-free Bareiss elimination on the rows,
+    each scaled by the lcm of its denominators."""
+    M = []
+    for row in rows:
+        den = math.lcm(*(F(x).denominator for x in row)) if row else 1
+        M.append([int(F(x) * den) for x in row])
+    if not M or not M[0]:
+        return 0
+    n_rows, n_cols = len(M), len(M[0])
+    rank = 0
+    prev = 1
+    for c in range(n_cols):
+        pivot = next((i for i in range(rank, n_rows) if M[i][c]), None)
+        if pivot is None:
+            continue
+        M[rank], M[pivot] = M[pivot], M[rank]
+        for i in range(rank + 1, n_rows):
+            for j in range(c + 1, n_cols):
+                M[i][j] = (M[i][j] * M[rank][c] - M[i][c] * M[rank][j]) // prev
+            M[i][c] = 0
+        prev = M[rank][c]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def _random_sparse_matrix(rng, n_rows, n_cols):
+    """Sparse rational matrix with zero rows, zero columns and appended
+    rational combinations of earlier rows, rows shuffled; numerators up to
+    2**64, denominators up to 2**20."""
+    zero_cols = set(rng.sample(range(n_cols), rng.randint(0, n_cols // 3)))
+    density = rng.choice((0.1, 0.3, 0.6))
+    rows = []
+    for _ in range(n_rows):
+        if rng.random() < 0.15:
+            rows.append([F(0)] * n_cols)
+            continue
+        rows.append([
+            F(rng.randint(-2**64, 2**64), rng.randint(1, 2**20))
+            if j not in zero_cols and rng.random() < density else F(0)
+            for j in range(n_cols)
+        ])
+    for _ in range(rng.randint(0, max(1, n_rows // 2))):
+        picked = rng.sample(rows, rng.randint(1, min(3, len(rows))))
+        coeffs = [F(rng.randint(-2**20, 2**20), rng.randint(1, 2**20)) for _ in picked]
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, picked)), F(0))
+                     for j in range(n_cols)])
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "square"])
+def test_exact_rank_matches_bareiss_on_random_matrices(shape):
+    rng = random.Random(f"exact-rank-{shape}")
+    for _ in range(60):
+        small, large = rng.randint(1, 6), rng.randint(7, 14)
+        n_rows, n_cols = {"tall": (large, small), "wide": (small, large),
+                          "square": (large, large)}[shape]
+        rows = _random_sparse_matrix(rng, n_rows, n_cols)
+        assert exact_rank(rows) == _bareiss_rank(rows)
+
+
+def test_square_full_rank_iff_nonzero_determinant():
+    rng = random.Random("exact-rank-det")
+    seen = set()
+    for _ in range(80):
+        size = rng.randint(1, 8)
+        rows = _random_sparse_matrix(rng, rng.randint(1, size), size)
+        rows = (rows + [[F(0)] * size] * size)[:size]
+        full = exact_rank(rows) == size
+        assert full == (exact_det(rows) != 0)
+        seen.add(full)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("g,n", [(g, n) for g in (2, 3) for n in (1, 2, 3, 4)])
+def test_exact_rank_matches_bareiss_on_verify_matrices(g, n, monkeypatch):
+    """Every full, block and reference matrix that verify ranks."""
+    ranked = []
+
+    def recording_rank(rows):
+        ranked.append(rows)
+        return exact_rank(rows)
+
+    monkeypatch.setattr(pairing_module, "exact_rank", recording_rank)
+    for m in get_matrices(g, n)[2]:
+        conjecture_check(m)
+    assert len(ranked) == sum(1 + 2 * len(m.blocks) for m in get_matrices(g, n)[2])
+    for rows in ranked:
+        assert exact_rank(rows) == _bareiss_rank(rows)
 
 
 def test_exact_det():
