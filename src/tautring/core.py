@@ -26,8 +26,6 @@ POINT = 1
 DIAG = 2
 EXC = 3
 
-_KIND_NAMES = {KAPPA: "kappa", POINT: "K", DIAG: "d", EXC: "D"}
-
 
 @dataclass(frozen=True)
 class RingContext:

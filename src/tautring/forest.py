@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 from .core import (
     DIAG,
@@ -350,29 +350,18 @@ def laminar_families(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def _forest_with_exponents(ctx: RingContext, family: Sequence[tuple[int, ...]],
-                           exps: Sequence[int]) -> ExceptionalForest:
-    m = Monomial.from_pairs((exc(s), e) for s, e in zip(family, exps))
-    forest = build_forest(ctx, m)
-    assert forest is not None
-    return forest
-
-
 def admissible_dparts(ctx: RingContext) -> list[ExceptionalForest]:
     """All forests with exponents inside the standard bounds, deterministically
     ordered by their exceptional-part layout key."""
     out: list[ExceptionalForest] = []
     for family in laminar_families(ctx.n):
-        if not family:
-            out.append(EMPTY_FOREST)
-            continue
-        base = _forest_with_exponents(ctx, family, [1] * len(family))
+        base = build_forest(ctx, Monomial.from_pairs((exc(s), 1) for s in family))
         bounds = [base.exponent_bound(i) for i in range(len(family))]
         if any(b < 1 for b in bounds):
             continue
-        sets_in_order = [base.vertex_set(i) for i in range(len(family))]
+        sets = [base.vertex_set(i) for i in range(len(family))]
         for exps in itertools.product(*(range(1, b + 1) for b in bounds)):
-            out.append(_forest_with_exponents(ctx, sets_in_order, exps))
+            out.append(ExceptionalForest(tuple(zip(sets, exps)), base.edges, base.roots))
     out.sort(key=lambda f: dpart_sort_key(dpart_monomial(f)))
     return out
 
@@ -483,12 +472,6 @@ def cluster_monomials(ctx: RingContext, S: Iterable[int], degree: int) -> tuple[
     if degree < 0:
         return ()
     return _cluster_monomials_cached(ctx.g, tuple(sorted(S)), degree)
-
-
-def count_cluster_monomials(ctx: RingContext, S: Iterable[int], degree: int) -> int:
-    if degree < 0:
-        return 0
-    return len(cluster_monomials(ctx, S, degree))
 
 
 def forest_basis(ctx: RingContext, forest: ExceptionalForest, k: int) -> list[StandardMonomial]:

@@ -11,7 +11,8 @@ degree ``k``.  The conjectured structure is then visible directly:
 
 * entries vanish whenever one side's exceptional sets all lie strictly
   below the other side's and a filtration bound overshoots the top degree
-  (:func:`verify_triangular` checks this entrywise);
+  (:func:`verify_triangular`); the rule reads only what a block's rows, and
+  a block's columns, have in common, so it is checked once per block pair;
 * each diagonal block is a single rational constant times the pairing
   matrix of the exceptional-free theory on the block's marking set
   (:func:`block_constant_reports`);
@@ -38,7 +39,7 @@ from .forest import (
     ExceptionalForest,
     StandardMonomial,
     admissible_dparts,
-    count_cluster_monomials,
+    cluster_monomials,
     dpart_monomial,
     dual_forest,
     forest_basis,
@@ -50,10 +51,6 @@ from .linalg import exact_rank
 
 class GorensteinSymmetryError(RuntimeError):
     """The rank sequence is not palindromic with 1 at both ends."""
-
-
-class ProportionalityFailure(RuntimeError):
-    """A diagonal block is not a constant multiple of its reference block."""
 
 
 def dual_label(sm: StandardMonomial) -> Monomial:
@@ -189,45 +186,27 @@ def verify_triangular(matrix: PairingMatrix) -> tuple[tuple[int, int, Fraction],
 
     An entry must vanish when, in either orientation, one factor's
     exceptional sets all sit below the other's while the other factor's
-    filtration level plus the first's degree exceeds the top degree.
-    """
-    top = matrix.ctx.top_degree
-    bad = []
-    for i, r in enumerate(matrix.rows):
-        for j, c in enumerate(matrix.cols):
-            if not matrix.entries[i][j]:
-                continue
-            if (ll_monomials(r.monomial, c.monomial) and c.p + r.degree > top) or (
-                ll_monomials(c.monomial, r.monomial) and r.p + c.degree > top
-            ):
-                bad.append((i, j, matrix.entries[i][j]))
-    return tuple(bad)
-
-
-def subdiagonal_block_violations(matrix: PairingMatrix) -> tuple[tuple, ...]:
-    """Nonzero entries inside fully-below-diagonal off-diagonal blocks.
-
-    An off-diagonal block is *fully below the diagonal* when every row/column
-    pair in it satisfies the filtration-bound hypotheses (in one orientation
-    or the other); all of its entries must then vanish.
+    filtration level plus the first's degree exceeds the top degree.  These
+    hypotheses read only the exceptional part, the degree and the filtration
+    level, which every row of a block shares, as does every column, so the
+    rule is decided once per (row block, column block) pair from its first
+    row and column (no block has an empty side; see
+    :func:`check_duality_classes`).  Violations are listed in row-major order.
     """
     top = matrix.ctx.top_degree
     bad = []
     for p in matrix.blocks:
+        r = matrix.rows[p.row_start]
+        forced = []
         for q in matrix.blocks:
-            if p is q:
-                continue
-            if not all(
-                (ll_monomials(r.monomial, c.monomial) and c.p + r.degree > top)
-                or (ll_monomials(c.monomial, r.monomial) and r.p + c.degree > top)
-                for r in matrix.rows[p.row_start:p.row_stop]
-                for c in matrix.cols[q.col_start:q.col_stop]
+            c = matrix.cols[q.col_start]
+            if (ll_monomials(r.monomial, c.monomial) and c.p + r.degree > top) or (
+                ll_monomials(c.monomial, r.monomial) and r.p + c.degree > top
             ):
-                continue
-            for i in range(p.row_start, p.row_stop):
-                for j in range(q.col_start, q.col_stop):
-                    if matrix.entries[i][j]:
-                        bad.append((repr(p.label), repr(q.label), i, j, matrix.entries[i][j]))
+                forced.append(range(q.col_start, q.col_stop))
+        for i in range(p.row_start, p.row_stop):
+            row = matrix.entries[i]
+            bad.extend((i, j, row[j]) for cols in forced for j in cols if row[j])
     return tuple(bad)
 
 
@@ -256,14 +235,14 @@ class BlockConstantReport:
         return self.block_rank == self.reference_rank
 
 
-def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = None,
-                           strict: bool = False) -> list[BlockConstantReport]:
+def block_constant_reports(matrix: PairingMatrix,
+                           table: Optional[KappaTable] = None) -> list[BlockConstantReport]:
     """Compare each diagonal block against its exceptional-free reference.
 
     The reference entry for row ``a * P`` and column ``a' * dual(P)`` is the
     evaluation of ``a * a'`` over the block's marking set ``S``.  The block
-    is expected to equal a single constant times the reference; with
-    ``strict=True`` a failure raises :class:`ProportionalityFailure`.
+    is expected to equal a single constant times the reference, which
+    ``proportional`` reports.
     """
     ctx = matrix.ctx
     if table is None:
@@ -303,7 +282,7 @@ def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = 
                 for j in range(len(bcols))
             )
         sign = Fraction(-1) ** eps
-        report = BlockConstantReport(
+        out.append(BlockConstantReport(
             label=block.label,
             S=S,
             epsilon=eps,
@@ -315,13 +294,7 @@ def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = 
             quoted_constant=sign * Fraction(ctx.kappa_zero) ** (ctx.n - len(S) + 1),
             block_rank=exact_rank(sub),
             reference_rank=exact_rank(ref),
-        )
-        if strict and not report.proportional:
-            raise ProportionalityFailure(
-                f"block {block.label!r} of the degree-{matrix.k} matrix is not "
-                "proportional to its reference"
-            )
-        out.append(report)
+        ))
     return out
 
 
@@ -383,7 +356,7 @@ def check_duality_classes(ctx: RingContext, k: int) -> list[tuple]:
         cap = ctx.g - 2 + len(S)
         ddeg = sum(e for _, e in forest.vertices)
         delta = k - ddeg
-        present = 0 <= delta <= cap and count_cluster_monomials(ctx, S, delta) > 0
+        present = 0 <= delta <= cap and bool(cluster_monomials(ctx, S, delta))
         dual = dual_forest(forest)
         if dual_forest(dual) != forest:
             bad.append(("involution", label))
@@ -391,7 +364,7 @@ def check_duality_classes(ctx: RingContext, k: int) -> list[tuple]:
         dual_ddeg = sum(e for _, e in dual.vertices)
         dual_delta = (top - k) - dual_ddeg
         dual_present = (
-            0 <= dual_delta <= cap and count_cluster_monomials(ctx, S, dual_delta) > 0
+            0 <= dual_delta <= cap and bool(cluster_monomials(ctx, S, dual_delta))
         )
         if present != dual_present:
             bad.append(("presence", label, delta, dual_delta))
@@ -405,20 +378,19 @@ def is_gorenstein(dims: Sequence[int]) -> bool:
     return dims == dims[::-1] and dims[0] == dims[-1] == 1
 
 
-def gorenstein_dims(ctx: RingContext, evaluator: Optional[Evaluator] = None,
-                    parallelism: int = 1, strict: bool = True) -> tuple[int, ...]:
+def gorenstein_dims(ctx: RingContext, evaluator: Optional[Evaluator] = None) -> tuple[int, ...]:
     """Rank of the pairing matrix in every degree.
 
-    With ``strict=True`` (default) raises :class:`GorensteinSymmetryError`
-    unless :func:`is_gorenstein` holds for the sequence.
+    Raises :class:`GorensteinSymmetryError` unless :func:`is_gorenstein`
+    holds for the sequence.
     """
     if evaluator is None:
         evaluator = Evaluator(ctx)
     dims = tuple(
-        pairing_matrix(ctx, k, evaluator, parallelism).rank()
+        pairing_matrix(ctx, k, evaluator).rank()
         for k in range(ctx.top_degree + 1)
     )
-    if strict and not is_gorenstein(dims):
+    if not is_gorenstein(dims):
         raise GorensteinSymmetryError(
             f"rank sequence {dims} is not palindromic with 1 at both ends"
         )

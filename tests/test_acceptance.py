@@ -30,7 +30,6 @@ from tautring import (
     parse_monomial,
     point_k,
     socle_monomial,
-    subdiagonal_block_violations,
     verify_triangular,
 )
 from tautring.linalg import exact_det
@@ -170,7 +169,7 @@ def test_criterion_4_triangular(capsys):
 
 
 def test_criterion_5_blocks(capsys):
-    sub_bad = 0
+    triangle_bad = 0
     not_prop = 0
     not_additive = 0
     n_matrices = 0
@@ -178,16 +177,16 @@ def test_criterion_5_blocks(capsys):
         ctx, ev, ms = get_matrices(g, n)
         for m in ms:
             n_matrices += 1
-            sub_bad += len(subdiagonal_block_violations(m))
+            triangle_bad += len(verify_triangular(m))
             reports = block_constant_reports(m, ev.table)
             not_prop += sum(1 for r in reports if not r.proportional)
             if m.rank() != sum(r.block_rank for r in reports):
                 not_additive += 1
-    ok = sub_bad == 0 and not_prop == 0 and not_additive == 0
+    ok = triangle_bad == 0 and not_prop == 0 and not_additive == 0
     report(capsys, 5, ok,
-           f"{n_matrices} matrices: sub-diagonal blocks vanish, every diagonal "
+           f"{n_matrices} matrices: filtration-forced block pairs vanish, every diagonal "
            "block is proportional to its reference, rank is block-additive")
-    assert ok, (sub_bad, not_prop, not_additive)
+    assert ok, (triangle_bad, not_prop, not_additive)
 
 
 # -- criterion 6: duality ------------------------------------------------------------

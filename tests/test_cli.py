@@ -5,6 +5,8 @@ import pytest
 
 from tautring.cli import ResultCache, main
 
+from conftest import forced_positions, with_entries
+
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
@@ -133,6 +135,28 @@ def test_verify_text_ends_with_ok(capsys):
 def test_verify_rejects_csv(capsys):
     rc, _, err = run(capsys, ["verify", "--g", "2", "--n", "2", "--format", "csv"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_fails_on_triangle_violation(capsys, monkeypatch, fmt):
+    from tautring.cli import pairing_matrix
+
+    def tampered(ctx, k, evaluator=None, parallelism=1):
+        m = pairing_matrix(ctx, k, evaluator, parallelism)
+        return with_entries(m, {forced_positions(m)[0]: 1}) if k == 1 else m
+
+    monkeypatch.setattr("tautring.cli.pairing_matrix", tampered)
+    rc, out, _ = run(capsys, ["verify", "--g", "2", "--n", "3", "--format", fmt])
+    assert rc == 1
+    if fmt == "json":
+        data = json.loads(out)
+        assert [(c["k"], c["triangle_violations"], c["ok"]) for c in data["checks"]] == [
+            (0, 0, True), (1, 1, False), (2, 0, True), (3, 0, True)]
+        assert data["ok"] is False
+    else:
+        [line] = [line for line in out.splitlines() if line.startswith("k=1 ")]
+        assert "triangle_violations=1 " in line and line.endswith("ok=no")
+        assert out.splitlines()[-1] == "FAIL"
 
 
 def test_verify_deterministic_across_parallelism(capsys):

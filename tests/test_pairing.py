@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,7 +8,6 @@ from tautring import (
     Evaluator,
     GorensteinSymmetryError,
     Monomial,
-    ProportionalityFailure,
     RingContext,
     check_duality_classes,
     conjecture_check,
@@ -17,7 +15,6 @@ from tautring import (
     gorenstein_dims,
     pairing_matrix,
     parse_monomial,
-    subdiagonal_block_violations,
     verify_triangular,
 )
 from tautring.linalg import exact_det, exact_rank
@@ -25,7 +22,7 @@ from tautring.forest import dpart_monomial, dual_forest
 from tautring import pairing as pairing_module
 from tautring.pairing import block_constant_reports, dual_label
 
-from conftest import get_matrices
+from conftest import forced_positions, forced_zero, get_matrices, with_entries
 
 
 F = Fraction
@@ -231,22 +228,38 @@ def test_no_triangle_violations(g, n):
     ctx, ev, ms = get_matrices(g, n)
     for m in ms:
         assert verify_triangular(m) == ()
-        assert subdiagonal_block_violations(m) == ()
+
+
+def _entrywise_violations(m):
+    """Oracle: the filtration rule tested at every entry, row-major."""
+    return tuple((i, j, m.entries[i][j]) for i, j in forced_positions(m) if m.entries[i][j])
 
 
 def _tamperable_position(m):
     """A position whose vanishing is forced by the filtration bound."""
-    from tautring.forest import ll_monomials
-    top = m.ctx.top_degree
-    for i, r in enumerate(m.rows):
-        for j, c in enumerate(m.cols):
-            if m.entries[i][j]:
-                continue
-            if (ll_monomials(r.monomial, c.monomial) and c.p + r.degree > top) or (
-                ll_monomials(c.monomial, r.monomial) and r.p + c.degree > top
-            ):
-                return i, j
-    return None
+    return next(iter(forced_positions(m)), None)
+
+
+@pytest.mark.parametrize("g,n", [(g, n) for g in (2, 3) for n in (1, 2, 3, 4)])
+def test_block_pair_rule_matches_entrywise_oracle(g, n):
+    ctx, ev, ms = get_matrices(g, n)
+    rng = random.Random(f"triangular-{g}-{n}")
+    for m in ms:
+        # the rule is constant on each block pair, which is what lets
+        # verify_triangular decide it once per pair
+        for p in m.blocks:
+            for q in m.blocks:
+                assert len({
+                    forced_zero(m, i, j)
+                    for i in range(p.row_start, p.row_stop)
+                    for j in range(q.col_start, q.col_stop)
+                }) == 1
+        assert verify_triangular(m) == _entrywise_violations(m)
+        forced = forced_positions(m)
+        picked = rng.sample(forced, min(5, len(forced)))
+        bad = with_entries(m, {pos: F(rng.randint(1, 9), rng.randint(1, 9)) for pos in picked})
+        assert verify_triangular(bad) == _entrywise_violations(bad)
+        assert len(verify_triangular(bad)) == len(picked)
 
 
 def test_tampered_entry_is_detected():
@@ -255,9 +268,7 @@ def test_tampered_entry_is_detected():
     pos = _tamperable_position(m)
     assert pos is not None, "fixture should contain at least one forced zero"
     i, j = pos
-    rows = [list(r) for r in m.entries]
-    rows[i][j] = F(99)
-    bad = dataclasses.replace(m, entries=tuple(tuple(r) for r in rows))
+    bad = with_entries(m, {pos: F(99)})
     assert verify_triangular(bad) == ((i, j, F(99)),)
 
 
@@ -265,15 +276,12 @@ def test_tampered_block_is_detected():
     ctx, ev, ms = get_matrices(2, 3)
     # degree-2 matrix pairs the D(1,2,3) block against the free block
     m = ms[2]
-    clean = subdiagonal_block_violations(m)
-    assert clean == ()
+    assert verify_triangular(m) == ()
     pos = _tamperable_position(m)
     assert pos is not None
     i, j = pos
-    rows = [list(r) for r in m.entries]
-    rows[i][j] = F(1, 7)
-    bad = dataclasses.replace(m, entries=tuple(tuple(r) for r in rows))
-    assert any(v[2] == i and v[3] == j for v in subdiagonal_block_violations(bad))
+    bad = with_entries(m, {pos: F(1, 7)})
+    assert verify_triangular(bad) == ((i, j, F(1, 7)),)
 
 
 # -- diagonal blocks ------------------------------------------------------------------
@@ -325,28 +333,23 @@ def test_conjecture_check_passes(g, n):
         assert rep.matrix_rank == m.rank()
 
 
-def test_strict_proportionality_raises_on_tampered_block():
+def test_tampered_block_is_not_proportional():
     ctx, ev, ms = get_matrices(2, 3)
     m = ms[1]
-    # scale a single entry in a two-entry diagonal block
+    # scale a single nonzero entry of a diagonal block with several entries
     blocks = [b for b in m.blocks if b.n_rows > 1 and b.n_cols > 1]
     assert blocks
     b = blocks[0]
-    rows = [list(r) for r in m.entries]
-    # pick a nonzero entry of the block and break it
-    done = False
-    for i in range(b.row_start, b.row_stop):
-        for j in range(b.col_start, b.col_stop):
-            if rows[i][j]:
-                rows[i][j] *= 2
-                done = True
-                break
-        if done:
-            break
-    assert done
-    bad = dataclasses.replace(m, entries=tuple(tuple(r) for r in rows))
-    with pytest.raises(ProportionalityFailure):
-        block_constant_reports(bad, ev.table, strict=True)
+    i, j = next(
+        (i, j)
+        for i in range(b.row_start, b.row_stop)
+        for j in range(b.col_start, b.col_stop)
+        if m.entries[i][j]
+    )
+    bad = with_entries(m, {(i, j): 2 * m.entries[i][j]})
+    [report] = [r for r in block_constant_reports(bad, ev.table) if r.label == b.label]
+    assert not report.proportional
+    assert not conjecture_check(bad, ev.table).ok
 
 
 def test_block_columns_use_dual_labels():
@@ -418,7 +421,14 @@ def test_duality_classes_materialized():
 
 def test_gorenstein_dims_strict_passes():
     ctx, ev, _ = get_matrices(3, 2)
-    assert gorenstein_dims(ctx, ev, strict=True) == (1, 4, 4, 1)
+    assert gorenstein_dims(ctx, ev) == (1, 4, 4, 1)
+
+
+def test_gorenstein_dims_raises_on_asymmetric_ranks(monkeypatch):
+    ctx, ev, _ = get_matrices(3, 2)
+    monkeypatch.setattr(pairing_module.PairingMatrix, "rank", lambda self: self.k + 1)
+    with pytest.raises(GorensteinSymmetryError):
+        gorenstein_dims(ctx, ev)
 
 
 # -- parallel evaluation --------------------------------------------------------------------
