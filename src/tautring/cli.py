@@ -32,7 +32,13 @@ from .core import RingContext
 from .evaluate import EvaluationError, Evaluator, KappaTable, KappaTableError
 from .forest import enumerate_basis
 from .grammar import GrammarError, parse_monomial, parse_polynomial
-from .pairing import check_duality_classes, conjecture_check, is_gorenstein, pairing_matrix
+from .pairing import (
+    all_degree_matrices,
+    check_duality_classes,
+    conjecture_check,
+    is_gorenstein,
+    pairing_matrix,
+)
 from .rewrite import NonTermination, Normalizer
 
 
@@ -158,6 +164,8 @@ def _cached(args, render, exit_code) -> int:
 
 def _cmd_enumerate(args) -> int:
     ctx = _context(args)
+    if args.k < 0 or args.k > ctx.top_degree:
+        raise ValueError(f"degree {args.k} outside 0..{ctx.top_degree}")
     basis = enumerate_basis(ctx, args.k)
     if args.dpart is not None:
         want = parse_monomial(ctx, args.dpart)
@@ -251,12 +259,17 @@ def _cmd_pairing(args) -> int:
 
 def _verify_data(args, ctx: RingContext, table: KappaTable) -> dict:
     evaluator = _evaluator(args, ctx, table)
-    ks = [args.k] if args.k is not None else list(range(ctx.top_degree + 1))
+    reference = {}
+
+    def fill(k):
+        return pairing_matrix(ctx, k, evaluator, args.parallelism)
+
+    matrices = [fill(args.k)] if args.k is not None else all_degree_matrices(ctx, fill)
     checks = []
     all_ok = True
-    for k in ks:
-        matrix = pairing_matrix(ctx, k, evaluator, args.parallelism)
-        report = conjecture_check(matrix, table)
+    for matrix in matrices:
+        k = matrix.k
+        report = conjecture_check(matrix, table, reference)
         duality_bad = check_duality_classes(ctx, k)
         ok = report.ok and not duality_bad
         all_ok = all_ok and ok
@@ -287,6 +300,7 @@ def _verify_data(args, ctx: RingContext, table: KappaTable) -> dict:
             "rows": report.n_rows,
             "triangle_violations": len(report.triangle_violations),
         })
+    checks.sort(key=lambda c: c["k"])
     data = {
         "checks": checks,
         "command": "verify",

@@ -7,7 +7,9 @@ block per admissible exceptional part ``P`` in layout order: its rows have
 exceptional part ``P`` and its columns the *dual* part ``dual(P)``
 (exponents reflected through their budgets).  Since the product commutes,
 block ``P`` of degree ``top - k`` is the transpose of block ``dual(P)`` of
-degree ``k``.  The conjectured structure is then visible directly:
+degree ``k``, and :func:`dual_matrix` reads the whole degree ``top - k``
+matrix off the degree ``k`` one.  The conjectured structure is then visible
+directly:
 
 * entries vanish whenever one side's exceptional sets all lie strictly
   below the other side's and a filtration bound overshoots the top degree
@@ -120,12 +122,10 @@ def _pool_eval(batch: list[str]) -> list[tuple[str, str]]:
     return [(s, str(ev.evaluate_monomial(parse_monomial(ctx, s)))) for s in batch]
 
 
-def pairing_matrix(ctx: RingContext, k: int, evaluator: Optional[Evaluator] = None,
-                   parallelism: int = 1) -> PairingMatrix:
+def _layout(ctx: RingContext, k: int):
+    """Rows, columns and blocks of the degree ``k`` matrix, block by block."""
     if k < 0 or k > ctx.top_degree:
         raise ValueError(f"degree {k} outside 0..{ctx.top_degree}")
-    if evaluator is None:
-        evaluator = Evaluator(ctx)
     rows, cols, blocks = [], [], []
     for forest in admissible_dparts(ctx):
         brows = forest_basis(ctx, forest, k)
@@ -137,6 +137,14 @@ def pairing_matrix(ctx: RingContext, k: int, evaluator: Optional[Evaluator] = No
             ))
             rows += brows
             cols += bcols
+    return tuple(rows), tuple(cols), tuple(blocks)
+
+
+def pairing_matrix(ctx: RingContext, k: int, evaluator: Optional[Evaluator] = None,
+                   parallelism: int = 1) -> PairingMatrix:
+    rows, cols, blocks = _layout(ctx, k)
+    if evaluator is None:
+        evaluator = Evaluator(ctx)
     if parallelism > 1 and rows and cols:
         entries = _parallel_entries(ctx, evaluator, rows, cols, parallelism)
     else:
@@ -144,7 +152,53 @@ def pairing_matrix(ctx: RingContext, k: int, evaluator: Optional[Evaluator] = No
             tuple(evaluator.evaluate_monomial(r.monomial * c.monomial) for c in cols)
             for r in rows
         )
-    return PairingMatrix(ctx, k, tuple(rows), tuple(cols), entries, tuple(blocks))
+    return PairingMatrix(ctx, k, rows, cols, entries, blocks)
+
+
+def dual_matrix(matrix: PairingMatrix) -> PairingMatrix:
+    """The pairing matrix of degree ``top - k``, read off the one of degree ``k``.
+
+    The product commutes, so the entry for row ``r`` and column ``c`` of
+    degree ``top - k`` is the entry for row ``c`` and column ``r`` of degree
+    ``k``: the result is a permuted transpose, with no product evaluated.
+    The layout is built afresh; a row or column that has no counterpart in
+    ``matrix`` raises ``ValueError``, so a layout mismatch cannot go unseen.
+    """
+    ctx = matrix.ctx
+    k = ctx.top_degree - matrix.k
+    rows, cols, blocks = _layout(ctx, k)
+    row_of = {sm.monomial: i for i, sm in enumerate(matrix.rows)}
+    col_of = {sm.monomial: j for j, sm in enumerate(matrix.cols)}
+    if len(rows) != len(col_of) or len(cols) != len(row_of):
+        raise ValueError(
+            f"degree {k} layout is {len(rows)}x{len(cols)}, "
+            f"the transpose of degree {matrix.k} is {len(col_of)}x{len(row_of)}"
+        )
+    try:
+        src_rows = [matrix.entries[row_of[c.monomial]] for c in cols]
+        src_cols = [col_of[r.monomial] for r in rows]
+    except KeyError as err:
+        raise ValueError(
+            f"{err.args[0]!r} is not in the degree {matrix.k} layout"
+        ) from None
+    entries = tuple(tuple(row[j] for row in src_rows) for j in src_cols)
+    return PairingMatrix(ctx, k, rows, cols, entries, blocks)
+
+
+def all_degree_matrices(ctx: RingContext, fill):
+    """The pairing matrix of every degree, in the order ``0, top, 1, top - 1, ...``.
+
+    ``fill(k)`` builds the matrix of degree ``k`` for ``k <= top / 2``; each
+    other degree is its :func:`dual_matrix`.  A filled matrix is dropped once
+    its dual has been handed out.
+    """
+    top = ctx.top_degree
+    for k in range(top // 2 + 1):
+        matrix = fill(k)
+        yield matrix
+        if 2 * k != top:
+            yield dual_matrix(matrix)
+        del matrix
 
 
 def _parallel_entries(ctx, evaluator, rows, cols, parallelism):
@@ -235,20 +289,26 @@ class BlockConstantReport:
         return self.block_rank == self.reference_rank
 
 
-def block_constant_reports(matrix: PairingMatrix,
-                           table: Optional[KappaTable] = None) -> list[BlockConstantReport]:
+def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = None,
+                           reference: Optional[dict] = None) -> list[BlockConstantReport]:
     """Compare each diagonal block against its exceptional-free reference.
 
     The reference entry for row ``a * P`` and column ``a' * dual(P)`` is the
     evaluation of ``a * a'`` over the block's marking set ``S``.  The block
     is expected to equal a single constant times the reference, which
     ``proportional`` reports.
+
+    ``reference`` memoizes those evaluations by ``(S, a * a')``.  Pass one
+    dict to every call of a run with the same ring and table, so that the
+    degrees sharing keys (``k`` and ``top - k`` share all of them) evaluate
+    each key once.
     """
     ctx = matrix.ctx
     if table is None:
         table = KappaTable.builtin(ctx.g)
+    if reference is None:
+        reference = {}
     out = []
-    reference: dict[tuple[tuple[int, ...], Monomial], Fraction] = {}
     for block in matrix.blocks:
         S = block.S
         eps = block.forest.epsilon()
@@ -325,14 +385,15 @@ class ConjectureReport:
         )
 
 
-def conjecture_check(matrix: PairingMatrix, table: Optional[KappaTable] = None) -> ConjectureReport:
+def conjecture_check(matrix: PairingMatrix, table: Optional[KappaTable] = None,
+                     reference: Optional[dict] = None) -> ConjectureReport:
     return ConjectureReport(
         k=matrix.k,
         n_rows=len(matrix.rows),
         n_cols=len(matrix.cols),
         matrix_rank=matrix.rank(),
         triangle_violations=verify_triangular(matrix),
-        block_reports=tuple(block_constant_reports(matrix, table)),
+        block_reports=tuple(block_constant_reports(matrix, table, reference)),
     )
 
 
@@ -386,10 +447,11 @@ def gorenstein_dims(ctx: RingContext, evaluator: Optional[Evaluator] = None) -> 
     """
     if evaluator is None:
         evaluator = Evaluator(ctx)
-    dims = tuple(
-        pairing_matrix(ctx, k, evaluator).rank()
-        for k in range(ctx.top_degree + 1)
-    )
+    ranks = {
+        m.k: m.rank()
+        for m in all_degree_matrices(ctx, lambda k: pairing_matrix(ctx, k, evaluator))
+    }
+    dims = tuple(ranks[k] for k in range(ctx.top_degree + 1))
     if not is_gorenstein(dims):
         raise GorensteinSymmetryError(
             f"rank sequence {dims} is not palindromic with 1 at both ends"

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -57,6 +58,17 @@ def test_enumerate_dpart_rejects_free_factors(capsys):
                               "--dpart", "K1"])
     assert rc == 2
     assert "dpart" in err
+
+
+@pytest.mark.parametrize("k", ["99", "-1"])
+def test_enumerate_rejects_degree_out_of_range(capsys, k):
+    from tautring import RingContext, enumerate_basis
+
+    rc, out, err = run(capsys, ["enumerate", "--g", "2", "--n", "3", "--k", k])
+    assert rc == 2
+    assert out == ""
+    assert err == f"tautring: degree {k} outside 0..3\n"
+    assert enumerate_basis(RingContext(2, 3), int(k)) == []
 
 
 def test_set_s_mode_is_usage_error(capsys):
@@ -151,12 +163,33 @@ def test_verify_fails_on_triangle_violation(capsys, monkeypatch, fmt):
     if fmt == "json":
         data = json.loads(out)
         assert [(c["k"], c["triangle_violations"], c["ok"]) for c in data["checks"]] == [
-            (0, 0, True), (1, 1, False), (2, 0, True), (3, 0, True)]
+            (0, 0, True), (1, 1, False), (2, 1, False), (3, 0, True)]
         assert data["ok"] is False
     else:
         [line] = [line for line in out.splitlines() if line.startswith("k=1 ")]
         assert "triangle_violations=1 " in line and line.endswith("ok=no")
         assert out.splitlines()[-1] == "FAIL"
+
+
+# sha256 of verify stdout, taken with every degree filled directly: reading
+# degree top - k off degree k, or any other speed-up, must not change a byte.
+VERIFY_SHA256 = {
+    (2, 3, "text"): "e357111634a1589e8449d355ea92854c94b46727ecb604b024b615bd366a8eb1",
+    (2, 3, "json"): "a0aff102cb706cbb3aca0b17f34372a31d616a7697b094e819366f2abf528e1e",
+    (2, 4, "text"): "3061c41f6185daefdf01f4ccd899f96e2fe2480dd9a004784426152ee1374bda",
+    (2, 4, "json"): "95986302d0c0e864c3fcc944bc9ea4da6c065630688e45461b6422f07ac3bcdc",
+    (3, 3, "text"): "213bb69cabe395e025e0706df4b2671374047b1a1cdcc364a6174830d1a7dcf1",
+    (3, 3, "json"): "72e539bafa4e4ca60385bf812607c74b681c4f26ea2dfa9883629cc37c2ac2a2",
+    (3, 4, "text"): "c8758d7e575eb9dd611840655b5787a68b32f14d542371a1f4f94071dbb9f898",
+    (3, 4, "json"): "aa49f31698eb1259767d40bb8370e6fc878c23db9a78f3210588a08968dffbc0",
+}
+
+
+@pytest.mark.parametrize("g,n,fmt", sorted(VERIFY_SHA256))
+def test_verify_output_bytes_pinned(capsys, g, n, fmt):
+    rc, out, _ = run(capsys, ["verify", "--g", str(g), "--n", str(n), "--format", fmt])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[(g, n, fmt)]
 
 
 def test_verify_deterministic_across_parallelism(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -20,7 +21,13 @@ from tautring import (
 from tautring.linalg import exact_det, exact_rank
 from tautring.forest import dpart_monomial, dual_forest
 from tautring import pairing as pairing_module
-from tautring.pairing import block_constant_reports, dual_label
+from tautring.pairing import (
+    PairingMatrix,
+    all_degree_matrices,
+    block_constant_reports,
+    dual_label,
+    dual_matrix,
+)
 
 from conftest import forced_positions, forced_zero, get_matrices, with_entries
 
@@ -389,6 +396,49 @@ def test_block_of_degree_top_minus_k_is_transpose_of_dual_block(g, n):
             assert _monomials(m.cols[p.col_start:p.col_stop]) \
                 == _monomials(t.rows[d.row_start:d.row_stop])
             assert m.submatrix(p) == [list(col) for col in zip(*t.submatrix(d))]
+
+
+def _assert_same_matrix(a, b):
+    for field in dataclasses.fields(PairingMatrix):
+        assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+
+@pytest.mark.parametrize("g,n", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_dual_matrix_equals_filled_matrix(g, n):
+    """The matrix read off degree k by transposition is the one filled for
+    degree top - k, and the all-degree loop fills only k <= top / 2 (the
+    middle degree of an even top included) and reads the rest off."""
+    ctx, ev, ms = get_matrices(g, n)
+    top = ctx.top_degree
+    for m in ms:
+        _assert_same_matrix(dual_matrix(m), ms[top - m.k])
+    filled = []
+
+    def fill(k):
+        filled.append(k)
+        return ms[k]
+
+    got = list(all_degree_matrices(ctx, fill))
+    assert filled == list(range(top // 2 + 1))
+    assert sorted(m.k for m in got) == list(range(top + 1))
+    for m in got:
+        _assert_same_matrix(m, ms[m.k])
+
+
+@pytest.mark.parametrize("change", ["dropped", "added", "replaced"])
+def test_dual_matrix_rejects_layout_mismatch(change):
+    ctx, ev, ms = get_matrices(2, 3)
+    m = ms[1]
+    stray = ms[0].rows[0]
+    if change == "dropped":
+        bad = dataclasses.replace(m, rows=m.rows[1:], entries=m.entries[1:])
+    elif change == "added":
+        bad = dataclasses.replace(m, rows=m.rows + (stray,),
+                                  entries=m.entries + (m.entries[0],))
+    else:
+        bad = dataclasses.replace(m, rows=(stray,) + m.rows[1:])
+    with pytest.raises(ValueError):
+        dual_matrix(bad)
 
 
 # -- duality of classes ----------------------------------------------------------------
