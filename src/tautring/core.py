@@ -83,9 +83,9 @@ class Symbol:
 def kappa(i: int) -> Symbol:
     """Kappa class of degree ``i >= 1``.
 
-    Indices above ``g - 2`` denote zero classes; they are constructible so
-    that deserialized input can be cleaned by :func:`kappa_truncate` or by
-    normalization, and context-aware code paths never build them.
+    Indices above ``g - 2`` denote zero classes; they are constructible,
+    normalization removes them, and context-aware code paths never build
+    them.
     """
     if not isinstance(i, int) or i < 1:
         raise ValueError("kappa index must be a positive integer")
@@ -522,17 +522,3 @@ def canonical_monomial(m: Monomial, n: int) -> Monomial:
     if best_key == [(s.key, e) for s, e in m.pairs]:
         return m
     return Monomial(tuple(sorted(((best[s], e) for s, e in m.pairs), key=_pair_order)))
-
-
-def kappa_truncate(ctx: RingContext, poly: Polynomial) -> Polynomial:
-    """Drop every term containing a kappa class of index above ``g - 2``.
-
-    Such classes vanish; this guards deserialized input before it reaches
-    degree bookkeeping that assumes living generators only.
-    """
-    out: dict[Monomial, Fraction] = {}
-    for m, c in poly.raw().items():
-        if any(s.kind == KAPPA and s.params[0] > ctx.g - 2 for s, _ in m.pairs):
-            continue
-        out[m] = c
-    return Polynomial(out)

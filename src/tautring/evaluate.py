@@ -16,10 +16,12 @@ After all markings are contracted a kappa monomial of degree ``g - 2``
 remains and is looked up in a :class:`KappaTable`.  The result is divided
 by the value of the socle monomial so that the socle evaluates to one.
 
-Monomials that do carry exceptional factors are first rewritten to normal
-form; at top degree the normal form is supported on exceptional-free
-monomials, which the contraction handles.  :class:`Evaluator` does this for
-one representative per orbit of the symmetric group on the markings.
+Monomials that do carry exceptional factors are valued through their
+rewrite graph (see :mod:`tautring.rewrite`): a rewritten monomial is worth
+the values of the terms its step produces, and at top degree the standard
+monomials reached are exceptional-free, which the contraction handles.
+:class:`Evaluator` does this for one representative per orbit of the
+symmetric group on the markings.
 """
 
 from __future__ import annotations
@@ -252,13 +254,14 @@ def evaluate_free(
 
 
 class Evaluator:
-    """Normalize-then-evaluate pipeline, memoized once per orbit of S_n.
+    """Rewrite-then-evaluate pipeline, memoized once per orbit of S_n.
 
     Relabelling the markings is a ring automorphism that fixes the kappa
     classes and the socle, so the value of a monomial is the value of the
     representative of its orbit (:func:`~tautring.core.canonical_monomial`).
-    Only representatives are normalized and contracted; each value is
-    memoized under the monomial asked for and under its representative.
+    Only representatives are rewritten and contracted; each value is
+    memoized under the monomial asked for, under its representative and
+    under every monomial its rewrite graph passes through.
     """
 
     def __init__(self, ctx: RingContext, table: Optional[KappaTable] = None,
@@ -291,20 +294,26 @@ class Evaluator:
                 if rep is m:
                     raise
                 raise type(err)(f"{err} (evaluating {m!r} as its relabelling {rep!r})") from err
-            self._memo[rep] = total
         self._memo[m] = total
         return total
 
     def _evaluate_representative(self, m: Monomial) -> Fraction:
-        nf = self.normalizer.normalize(Polynomial.monomial(m))
-        total = Fraction(0)
-        for t, c in nf.items():
-            if any(s.kind == EXC for s, _ in t.pairs):
+        """Value of ``m`` summed over its rewrite graph, memoizing every
+        monomial on the way and stopping at those that have a value."""
+        values = self._memo
+        graph = self.normalizer._memo
+        order, _ = self.normalizer.rewrite_order((m,), done=values)
+        for t in order:
+            terms = graph[t]
+            if terms is not None:
+                values[t] = sum((c * values[u] for u, c in terms), Fraction(0))
+            elif any(s.kind == EXC for s, _ in t.pairs):
                 raise EvaluationError(
                     f"normal form of {m!r} kept exceptional factors in {t!r}"
                 )
-            total += c * evaluate_free(self.ctx, self.table, t)
-        return total
+            else:
+                values[t] = evaluate_free(self.ctx, self.table, t)
+        return values[m]
 
     def evaluate(self, poly: Polynomial) -> Fraction:
         return sum((c * self.evaluate_monomial(m) for m, c in poly.items()), Fraction(0))

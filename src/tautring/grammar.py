@@ -84,13 +84,16 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
             members = tuple(int(x) for x in m.group("dset").split(","))
             tokens.append(("sym", ("D", members)))
         elif m.group("rat"):
-            tokens.append(("rat", Fraction(m.group("rat"))))
+            try:
+                tokens.append(("rat", Fraction(m.group("rat"))))
+            except ZeroDivisionError:
+                raise GrammarError(f"zero denominator in {m.group('rat')!r}") from None
         else:
             tokens.append(("op", m.group("op")))
     return tokens
 
 
-def _build_symbol(ctx: RingContext, tok: tuple, strict: bool):
+def _build_symbol(ctx: RingContext, tok: tuple):
     try:
         if tok[0] == "k":
             sym = kappa(tok[1])
@@ -100,24 +103,17 @@ def _build_symbol(ctx: RingContext, tok: tuple, strict: bool):
             sym = diag(tok[1], tok[2])
         else:
             sym = exc(tok[1])
+        check_symbol(ctx, sym)
     except ValueError as e:
         raise GrammarError(str(e)) from None
-    if strict or tok[0] != "k":
-        # lenient mode tolerates kappa indices above g-2: they denote zero
-        # classes and are removed by kappa_truncate or by normalization
-        try:
-            check_symbol(ctx, sym)
-        except ValueError as e:
-            raise GrammarError(str(e)) from None
     return sym
 
 
 class _Parser:
-    def __init__(self, ctx: RingContext, tokens: list, strict: bool):
+    def __init__(self, ctx: RingContext, tokens: list):
         self.ctx = ctx
         self.toks = tokens
         self.pos = 0
-        self.strict = strict
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -133,7 +129,7 @@ class _Parser:
         kind, val = self.take()
         if kind != "sym":
             raise GrammarError(f"expected a generator symbol, got {val!r}")
-        sym = _build_symbol(self.ctx, val, self.strict)
+        sym = _build_symbol(self.ctx, val)
         e = 1
         nxt = self.peek()
         if nxt == ("op", "^"):
@@ -205,20 +201,20 @@ class _Parser:
         return Polynomial(acc)
 
 
-def parse_monomial(ctx: RingContext, text: str, strict: bool = True) -> Monomial:
-    p = _Parser(ctx, _tokenize(text), strict)
+def parse_monomial(ctx: RingContext, text: str) -> Monomial:
+    p = _Parser(ctx, _tokenize(text))
     m = p.parse_monomial()
     if p.peek() is not None:
         raise GrammarError("trailing input after monomial")
     return m
 
 
-def parse_polynomial(ctx: RingContext, text: str, strict: bool = True) -> Polynomial:
+def parse_polynomial(ctx: RingContext, text: str) -> Polynomial:
     text = text.strip()
     if text == "0":
         return Polynomial.zero()
     if not text:
         raise GrammarError("empty input")
-    p = _Parser(ctx, _tokenize(text), strict)
+    p = _Parser(ctx, _tokenize(text))
     poly = p.parse_polynomial()
     return poly

@@ -37,7 +37,9 @@ Instance families
 
 The normalizer applies a fixed priority of steps until no step applies;
 the result is supported on standard monomials.  Termination is enforced by a
-step budget, one unit per distinct monomial rewritten, and by cycle detection.
+step budget, one unit per distinct monomial rewritten in a call, and by cycle
+detection.  The memo is the rewrite graph, shared by plain and certified
+normalization and by evaluation: each is one linear pass over it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .core import (
     DIAG,
@@ -339,19 +341,12 @@ def apply_step(m: Monomial, step: Step) -> Polynomial:
 # the normalizer
 
 
-class _Frame:
-    __slots__ = ("m", "step", "terms", "idx", "acc")
-
-    def __init__(self, m: Monomial):
-        self.m = m
-        self.step = None
-        self.terms = None
-        self.idx = 0
-        self.acc = Polynomial.zero()
-
-
 class Normalizer:
     """Rewrites polynomials to their standard normal form.
+
+    ``_memo`` is the rewrite graph: each monomial reached maps to the
+    ``(monomial, coefficient)`` terms of its step, or to ``None`` when it is
+    standard.  It keeps no normal forms and no steps.
 
     ``pivot`` picks the anchor of vertex reductions ("min" or "max"); both
     must produce equal normal forms, which the test suite exercises.
@@ -365,8 +360,7 @@ class Normalizer:
         self.ctx = ctx
         self.pivot = pivot
         self.max_steps = max_steps
-        self._memo: dict[Monomial, Polynomial] = {}
-        self._budget = 0
+        self._memo: dict[Monomial, Optional[tuple[tuple[Monomial, Fraction], ...]]] = {}
 
     # -- step search ------------------------------------------------------
 
@@ -469,83 +463,82 @@ class Normalizer:
 
     # -- normalization -----------------------------------------------------
 
-    def _spend(self, m: Monomial) -> None:
-        self._budget -= 1
-        if self._budget < 0:
-            raise NonTermination(
-                f"gave up after {self.max_steps} rewrite steps (last monomial: {m!r})"
-            )
+    def rewrite_order(self, roots: Iterable[Monomial], done: Container[Monomial] = ()
+                      ) -> tuple[list[Monomial], dict[Monomial, Step]]:
+        """The rewrite graph below ``roots``, children before parents, and
+        the steps of the monomials this call rewrote.
 
-    def _normalize_monomial(self, m: Monomial, memo: dict[Monomial, Polynomial],
-                            post: Optional[list[_Frame]]) -> Polynomial:
-        """Walk the rewrite graph of ``m`` depth first, rewriting each
-        monomial not in ``memo`` once.  Without ``post``, return the normal
-        form of ``m`` and memoize those of the monomials reached; with a list
-        ``post``, add up nothing and append the frame of each monomial
-        rewritten in post-order."""
-        if m in memo:
-            return memo[m]
-        gray = {m}
-        stack = [_Frame(m)]
-        while stack:
-            fr = stack[-1]
-            if fr.terms is None:
-                step = self.find_step(fr.m)
-                if step is None:
-                    memo[fr.m] = _poly(fr.m)
-                    gray.discard(fr.m)
-                    stack.pop()
-                    continue
-                self._spend(fr.m)
-                fr.step = step
-                fr.terms = list(apply_step(fr.m, step).items())
-            while fr.idx < len(fr.terms):
-                child, coeff = fr.terms[fr.idx]
-                got = memo.get(child)
-                if got is None:
-                    break
-                if post is None:
-                    fr.acc = fr.acc + got * coeff
-                fr.idx += 1
-            if fr.idx < len(fr.terms):
-                child = fr.terms[fr.idx][0]
-                if child in gray:
-                    raise NonTermination(f"rewrite cycle through {child!r}")
-                gray.add(child)
-                stack.append(_Frame(child))
+        The walk visits terms in :func:`apply_step` order, so the order does
+        not depend on what the memo holds.  Each monomial not yet in the memo
+        is rewritten once, for one unit of the budget; monomials in ``done``
+        are skipped.
+        """
+        memo = self._memo
+        order: list[Monomial] = []
+        steps: dict[Monomial, Step] = {}
+        seen: set[Monomial] = set()
+        gray: set[Monomial] = set()
+
+        def terms_of(m: Monomial):
+            if m in memo:
+                return memo[m] or ()
+            step = self.find_step(m)
+            if step is None:
+                memo[m] = None
+                return ()
+            if len(steps) >= self.max_steps:
+                raise NonTermination(
+                    f"gave up after {self.max_steps} rewrite steps (last monomial: {m!r})"
+                )
+            steps[m] = step
+            terms = memo[m] = tuple(apply_step(m, step).items())
+            return terms
+
+        for root in roots:
+            if root in seen or root in done:
                 continue
-            memo[fr.m] = fr.acc
-            if post is not None:
-                post.append(fr)
-            gray.discard(fr.m)
-            stack.pop()
-        return memo[m]
+            seen.add(root)
+            gray.add(root)
+            stack = [(root, iter(terms_of(root)))]
+            while stack:
+                m, children = stack[-1]
+                for child, _ in children:
+                    if child in gray:
+                        raise NonTermination(f"rewrite cycle through {child!r}")
+                    if child not in seen and child not in done:
+                        seen.add(child)
+                        gray.add(child)
+                        stack.append((child, iter(terms_of(child))))
+                        break
+                else:
+                    stack.pop()
+                    gray.discard(m)
+                    order.append(m)
+        return order, steps
 
     def normalize(self, poly: Polynomial, record: bool = False):
         """Normal form of ``poly``; with ``record=True`` also the certificate.
 
-        The recorded walk has a memo of its own and adds up no normal forms.
-        It pushes the input coefficients through the rewrite graph in reverse
-        post-order instead: each monomial rewritten gives one step scaled by
-        its total coefficient, or none when that cancels to 0, and what
-        reaches the standard monomials is the normal form."""
-        self._budget = self.max_steps
-        if not record:
-            out = Polynomial.zero()
-            for m, c in poly.items():
-                out = out + self._normalize_monomial(m, self._memo, None) * c
-            return out
-        memo, post = {}, []
-        for m, _ in poly.items():
-            self._normalize_monomial(m, memo, post)
+        Pushes the input coefficients through the rewrite graph in reverse
+        :meth:`rewrite_order`; what reaches the standard monomials is the
+        normal form.  Each monomial rewritten with a nonzero total
+        coefficient gives one certificate step scaled by that coefficient.
+        """
+        memo = self._memo
+        order, steps = self.rewrite_order(m for m, _ in poly.items())
         flow = dict(poly.raw())
-        steps = []
-        for fr in reversed(post):
-            c = flow.pop(fr.m, 0)
+        cert = []
+        for m in reversed(order):
+            terms = memo[m]
+            if terms is None:
+                continue
+            c = flow.pop(m, 0)
             if not c:
                 continue
-            inst, L, c_L = fr.step
-            steps.append(CertificateStep(inst, fr.m.try_div(L), c / c_L))
-            for m2, c2 in fr.terms:
+            if record:
+                inst, L, c_L = steps.get(m) or self.find_step(m)
+                cert.append(CertificateStep(inst, m.try_div(L), c / c_L))
+            for m2, c2 in terms:
                 flow[m2] = flow.get(m2, 0) + c * c2
-        return Polynomial(flow), Certificate(tuple(steps))
+        normal = Polynomial(flow)
+        return (normal, Certificate(tuple(cert))) if record else normal

@@ -2,8 +2,9 @@ import dataclasses
 
 import pytest
 
-from tautring import Evaluator, RingContext, pairing_matrix
+from tautring import Evaluator, Polynomial, RingContext, pairing_matrix
 from tautring.forest import ll_monomials
+from tautring.rewrite import apply_step
 
 _MATRICES = {}
 
@@ -16,6 +17,31 @@ def get_matrices(g, n):
         ms = [pairing_matrix(ctx, k, ev) for k in range(ctx.top_degree + 1)]
         _MATRICES[(g, n)] = (ctx, ev, ms)
     return _MATRICES[(g, n)]
+
+
+def oracle_normal_form(nz, poly):
+    """Normal form of ``poly`` by recursion: ``NF(m) = m`` when
+    ``nz.find_step(m)`` is None, else ``sum c * NF(t)`` over the terms of
+    :func:`~tautring.rewrite.apply_step`.  It shares no code with the
+    normalizer's graph walk, memo or flow loop, so tests hold those to it."""
+    nf = {}
+
+    def of(m):
+        if m not in nf:
+            step = nz.find_step(m)
+            if step is None:
+                nf[m] = Polynomial.monomial(m)
+            else:
+                out = Polynomial.zero()
+                for t, c in apply_step(m, step).items():
+                    out = out + of(t) * c
+                nf[m] = out
+        return nf[m]
+
+    out = Polynomial.zero()
+    for m, c in poly.items():
+        out = out + of(m) * c
+    return out
 
 
 def forced_zero(m, i, j):

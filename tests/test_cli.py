@@ -192,6 +192,32 @@ def test_verify_output_bytes_pinned(capsys, g, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[(g, n, fmt)]
 
 
+# sha256 of `normalize --emit-certificate` stdout, taken before the
+# certified walk shared its memo with plain normalization and evaluation:
+# the certificate steps and their order must not change.
+_MIXED_1 = "D(1,2,3)^2*D(1,2,3,4,5)^2 - 3/2 d(4,5)*D(1,2,3)^3 + k1*K2^2"
+_MIXED_2 = ("2 d(1,2)^2*D(3,4,5)^2 + d(1,3)*d(3,5)*K5*D(1,2,3,4)^2"
+            " - 1/3 K3*D(2,3,4)^3*D(1,2,3,4,5)")
+CERTIFICATE_SHA256 = {
+    (2, 3, "D(1,2,3)^2", "text"): "6049f1d5f427b642fe6747386aaed393c819a6d794b56481be76a4235e35a89d",
+    (2, 3, "D(1,2,3)^2", "json"): "f99533676053499d935a4cfb17a2681d34180c5e1b3c5dd9c20143d44125e775",
+    (3, 5, "D(2,4,5)^5", "text"): "6236e9a767f4d80227a1d229ec822c03809fc829983e40c178a4e75098c90e84",
+    (3, 5, "D(2,4,5)^5", "json"): "3402a26ab2ffeff0892d6a432e93bd371e4f1ef5777a887fde5577426ed4ddb9",
+    (3, 5, _MIXED_1, "text"): "3bf90c3978432fe9e1f3345b9c16dcb6059e89a8f031140b2b5575da3a5fe783",
+    (3, 5, _MIXED_1, "json"): "fe4329b9b2c9bf3759e989c9174773f36cea505df397595bc6a2a39350838c16",
+    (3, 5, _MIXED_2, "text"): "9a95cc8b78f198054ec889554f83328b09c6f5319706457f4b9ae5b3ef2e2063",
+    (3, 5, _MIXED_2, "json"): "6a905dab545c8646ffc9e040c53d201dd3bcb91189e79d07c3e51e8fcd86368b",
+}
+
+
+@pytest.mark.parametrize("g,n,text,fmt", sorted(CERTIFICATE_SHA256))
+def test_certificate_output_bytes_pinned(capsys, monkeypatch, g, n, text, fmt):
+    rc, out, _ = run(capsys, ["normalize", "--g", str(g), "--n", str(n), "--format", fmt,
+                              "--emit-certificate"], stdin=text, monkeypatch=monkeypatch)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CERTIFICATE_SHA256[(g, n, text, fmt)]
+
+
 def test_verify_deterministic_across_parallelism(capsys):
     argv = ["verify", "--g", "2", "--n", "2", "--format", "json"]
     rc1, out1, _ = run(capsys, argv + ["--parallelism", "1"])
@@ -233,6 +259,18 @@ def test_normalize_parse_error(capsys, monkeypatch):
                      stdin="K1 + + K2", monkeypatch=monkeypatch)
     assert rc == 2
     assert err
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (["normalize", "--g", "2", "--n", "3"], "2/0 K1"),
+    (["normalize", "--g", "2", "--n", "3"], "K1^1/0"),
+    (["enumerate", "--g", "2", "--n", "3", "--k", "1", "--dpart", "1/0"], None),
+])
+def test_zero_denominator_is_usage_error(capsys, monkeypatch, argv, stdin):
+    rc, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert rc == 2
+    assert out == ""
+    assert err and "Traceback" not in err
 
 
 def test_normalize_budget_exhaustion(capsys, monkeypatch):

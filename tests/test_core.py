@@ -12,7 +12,6 @@ from tautring import (
     diag,
     exc,
     kappa,
-    kappa_truncate,
     point_k,
     relabel,
 )
@@ -148,13 +147,6 @@ def test_relabel_polynomial_checks_permutation():
         relabel(ctx, p, (1, 1, 3))
     with pytest.raises(ValueError):
         relabel(ctx, p, {1: 2, 2: 1})  # misses marking 3
-
-
-def test_kappa_truncate():
-    ctx = RingContext(3, 1)
-    live = Polynomial.monomial(Monomial.from_symbols(kappa(1)))
-    dead = Polynomial.monomial(Monomial.from_symbols(kappa(2)))
-    assert kappa_truncate(ctx, live + dead) == live
 
 
 # -- property tests ---------------------------------------------------------

@@ -29,6 +29,8 @@ from tautring.core import canonical_monomial, relabel_monomial
 from tautring.evaluate import socle_raw_value
 from tautring.pairing import dual_label
 
+from conftest import oracle_normal_form
+
 
 def mono(*syms):
     return Monomial.from_symbols(*syms)
@@ -308,14 +310,16 @@ def test_canonical_monomial_picks_one_member_of_each_orbit(g, n):
 
 
 def _value_without_orbits(ctx, table, m):
-    nf = Normalizer(ctx).normalize(Polynomial.monomial(m))
+    nf = oracle_normal_form(Normalizer(ctx), Polynomial.monomial(m))
     return sum((c * evaluate_free(ctx, table, t) for t, c in nf.items()), Fraction(0))
 
 
 @pytest.mark.parametrize("g,n,count", [(2, 4, 40), (3, 4, 40), (2, 5, 24)])
 def test_value_is_invariant_under_relabelling(g, n, count):
-    # normalizes each product and one relabelling of it directly, so an
-    # asymmetry in the normalizer cannot hide behind the orbit memo.  Most
+    # values each product and one relabelling of it through the recursive
+    # normal form of conftest, so neither an asymmetry in the normalizer nor
+    # a slip in the evaluator's walk over the rewrite graph can hide behind
+    # the orbit memo or the values memoized by earlier products.  Most
     # products vanish, and nonzero ones with exceptional factors sit in the
     # diagonal blocks, so the sample keeps `count` nonzero products, half as
     # many nonzero ones with exceptional factors and a quarter as many zeros.

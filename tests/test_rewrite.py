@@ -6,6 +6,7 @@ import pytest
 
 from tautring import (
     Certificate,
+    Evaluator,
     Monomial,
     NonTermination,
     Normalizer,
@@ -16,6 +17,7 @@ from tautring import (
     exc,
     is_standard,
     kappa,
+    pairing_matrix,
     parse_polynomial,
     point_k,
 )
@@ -35,6 +37,8 @@ from tautring.rewrite import (
     vertex_reduction,
 )
 from tautring.forest import build_forest
+
+from conftest import oracle_normal_form
 
 
 def mono(*syms):
@@ -250,10 +254,32 @@ def test_recorded_matches_memoized(ctx23):
     for _ in range(60):
         syms = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
         src = Polynomial.monomial(mono(*syms), Fraction(rng.randint(-4, 4) or 1))
+        expected = oracle_normal_form(Normalizer(ctx23), src)
         fast = nz.normalize(src)
         slow, cert = nz.normalize(src, record=True)
-        assert fast == slow
+        assert fast == slow == expected
         assert cert.verify(src, slow)
+
+
+def test_certificate_over_a_warm_memo_matches_a_fresh_one():
+    """A certified run over a graph memoized by earlier plain normalizations
+    and an evaluator fill finds the steps of those monomials again and
+    writes the same certificate as a fresh normalizer."""
+    ctx = RingContext(2, 4)
+    src = parse_polynomial(
+        ctx, "D(1,2,3)^2*D(1,2,3,4)^2 + 2 d(1,2)*D(1,2,3,4)^3 - K4*D(2,3,4)^3"
+    )
+    warm = Normalizer(ctx)
+    warm.normalize(parse_polynomial(ctx, "D(1,2,3,4)^4 + D(2,3,4)^3*K1"))
+    pairing_matrix(ctx, 2, Evaluator(ctx, normalizer=warm))
+    graph, _ = Normalizer(ctx).rewrite_order(m for m, _ in src.items())
+    assert any(warm._memo.get(m) for m in graph)
+    out, cert = warm.normalize(src, record=True)
+    fresh_out, fresh_cert = Normalizer(ctx).normalize(src, record=True)
+    assert out == fresh_out
+    assert cert.describe() == fresh_cert.describe()
+    assert cert.verify(src, out)
+    assert warm._memo
 
 
 def test_certificate_rewrites_each_monomial_once():
