@@ -9,22 +9,16 @@ configuration problems, 3 the rewriter gave up (step budget or cycle).
 
 Output is deterministic byte for byte: JSON is emitted with sorted keys and
 carries no timing, and the multiprocess fill path reassembles results in
-index order.  Results can be cached under ``--cache-dir`` (or the
-``TAUTRING_CACHE_DIR`` environment variable); cache keys hash every
-semantically relevant input, so the degree of parallelism does not change
-what is served.
+index order.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
-import os
 import sys
-from pathlib import Path
 from typing import Optional
 
 from . import __version__
@@ -42,51 +36,6 @@ from .pairing import (
 from .rewrite import NonTermination, Normalizer
 
 
-class ResultCache:
-    """Entries ``ROOT/KEY.out``: a ``sha256:HEX`` line, then the payload.  An
-    entry whose header does not match its payload (say, one cut short) is a
-    miss, so the result is computed again and overwrites it."""
-
-    def __init__(self, root: Optional[str]):
-        self.root = Path(root) if root else None
-
-    @property
-    def enabled(self) -> bool:
-        return self.root is not None
-
-    @staticmethod
-    def key(payload: dict) -> str:
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-    @staticmethod
-    def _header(payload: bytes) -> bytes:
-        return b"sha256:" + hashlib.sha256(payload).hexdigest().encode() + b"\n"
-
-    def load(self, key: str) -> Optional[str]:
-        if not self.enabled:
-            return None
-        path = self.root / f"{key}.out"
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        header, sep, payload = blob.partition(b"\n")
-        if header + sep != self._header(payload):
-            return None
-        return payload.decode("utf-8")
-
-    def store(self, key: str, text: str) -> None:
-        if not self.enabled:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.root / f"{key}.out"
-        tmp = self.root / f".{key}.tmp.{os.getpid()}"
-        payload = text.encode("utf-8")
-        tmp.write_bytes(self._header(payload) + payload)
-        os.replace(tmp, path)
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -99,7 +48,7 @@ def _csv_text(rows) -> str:
 
 
 # Name of the one marking-set rule (root minima plus uncovered markings),
-# printed in every output and hashed into every cache key.
+# printed in every output.
 MODE = "complement"
 
 
@@ -118,44 +67,9 @@ def _table(args, ctx: RingContext) -> KappaTable:
     return KappaTable.builtin(ctx.g)
 
 
-def _cache(args) -> ResultCache:
-    root = getattr(args, "cache_dir", None) or os.environ.get("TAUTRING_CACHE_DIR")
-    return ResultCache(root)
-
-
 def _evaluator(args, ctx: RingContext, table: KappaTable) -> Evaluator:
     normalizer = Normalizer(ctx, max_steps=args.max_rewrite_steps)
     return Evaluator(ctx, table, normalizer)
-
-
-def _cached(args, render, exit_code) -> int:
-    """Write ``render(args, ctx, table)`` to stdout, served from the result
-    cache when present.
-
-    The exit code is ``exit_code(args, text)`` of the bytes written, so a
-    replayed result exits exactly as the run that stored it.
-    """
-    ctx = _context(args)
-    table = _table(args, ctx)
-    cache = _cache(args)
-    key = ResultCache.key({
-        "command": args.command,
-        "format": args.format,
-        "g": ctx.g,
-        "k": args.k,
-        "kappa": table.digest(),
-        "max_steps": args.max_rewrite_steps,
-        "mode": MODE,
-        "n": ctx.n,
-        "version": __version__,
-    })
-    text = cache.load(key)
-    if text is None:
-        text = render(args, ctx, table)
-        cache.store(key, text)
-    code = exit_code(args, text)
-    sys.stdout.write(text)
-    return code
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +164,10 @@ def _pairing_render(args, ctx: RingContext, table: KappaTable) -> str:
 
 
 def _cmd_pairing(args) -> int:
-    return _cached(args, _pairing_render, lambda args, text: 0)
+    ctx = _context(args)
+    table = _table(args, ctx)
+    sys.stdout.write(_pairing_render(args, ctx, table))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -349,22 +266,13 @@ def _verify_text(data: dict) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _verify_render(args, ctx: RingContext, table: KappaTable) -> str:
-    data = _verify_data(args, ctx, table)
-    return _json_text(data) if args.format == "json" else _verify_text(data)
-
-
-def _verify_exit_code(args, text: str) -> int:
-    """1 unless the top-level ``ok`` (JSON) or the last line (text) says OK."""
-    if args.format == "json":
-        ok = json.loads(text)["ok"]
-    else:
-        ok = text.splitlines()[-1:] == ["OK"]
-    return 0 if ok else 1
-
-
 def _cmd_verify(args) -> int:
-    return _cached(args, _verify_render, _verify_exit_code)
+    ctx = _context(args)
+    table = _table(args, ctx)
+    data = _verify_data(args, ctx, table)
+    text = _json_text(data) if args.format == "json" else _verify_text(data)
+    sys.stdout.write(text)
+    return 0 if data["ok"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="row degree")
     p.add_argument("--kappa-table", help="kappa table file (required for g >= 4)")
     p.add_argument("--parallelism", type=int, default=1, help=PARALLELISM_HELP)
-    p.add_argument("--cache-dir", help="cache results under this directory")
     p.set_defaults(func=_cmd_pairing)
 
     p = sub.add_parser("verify", help="run the structure checks")
@@ -460,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="single degree (default: all)")
     p.add_argument("--kappa-table", help="kappa table file (required for g >= 4)")
     p.add_argument("--parallelism", type=int, default=1, help=PARALLELISM_HELP)
-    p.add_argument("--cache-dir", help="cache results under this directory")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("normalize", help="normalize a polynomial read from stdin")

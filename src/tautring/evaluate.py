@@ -26,7 +26,6 @@ symmetric group on the markings.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -144,12 +143,6 @@ class KappaTable:
 
     def items(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         return tuple(sorted(self._values.items()))
-
-    def digest(self) -> str:
-        bits = [f"g={self.g}"]
-        for part in sorted(self._values):
-            bits.append(",".join(map(str, part)) + "=" + str(self._values[part]))
-        return hashlib.sha256(";".join(bits).encode()).hexdigest()
 
 
 def socle_monomial(ctx: RingContext, markings: Optional[Iterable[int]] = None) -> tuple[Fraction, Monomial]:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tautring.cli import ResultCache, main
+from tautring.cli import main
 
 from conftest import forced_positions, with_entries
 
@@ -171,6 +171,21 @@ def test_verify_fails_on_triangle_violation(capsys, monkeypatch, fmt):
         assert out.splitlines()[-1] == "FAIL"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_fails_on_duality_violation(capsys, monkeypatch, fmt):
+    # one failing degree among passing ones, found by the duality check alone
+    monkeypatch.setattr(
+        "tautring.cli.check_duality_classes",
+        lambda ctx, k: [("presence", k)] if k == 1 else [],
+    )
+    rc, out, _ = run(capsys, ["verify", "--g", "2", "--n", "3", "--format", fmt])
+    assert rc == 1
+    if fmt == "json":
+        assert [c["ok"] for c in json.loads(out)["checks"]] == [True, False, True, True]
+    else:
+        assert out.splitlines()[-1] == "FAIL"
+
+
 # sha256 of verify stdout, taken with every degree filled directly: reading
 # degree top - k off degree k, or any other speed-up, must not change a byte.
 VERIFY_SHA256 = {
@@ -327,75 +342,22 @@ def test_version(capsys):
     assert "tautring" in capsys.readouterr().out
 
 
-# -- caching ---------------------------------------------------------------------
+# -- removed options ---------------------------------------------------------------
 
 
-def test_cache_roundtrip(capsys, tmp_path):
+def test_cache_dir_is_gone(capsys, tmp_path):
     cache = tmp_path / "cache"
-    argv = ["pairing", "--g", "2", "--n", "2", "--k", "1", "--format", "json",
-            "--cache-dir", str(cache)]
+    rc, out, err = run(capsys, ["verify", "--g", "2", "--n", "3", "--cache-dir", str(cache)])
+    assert rc == 2 and out == ""
+    assert "--cache-dir" in err
+    assert not cache.exists()
+
+
+def test_cache_env_var_is_ignored(capsys, tmp_path, monkeypatch):
+    argv = ["verify", "--g", "2", "--n", "3", "--format", "json"]
     rc1, out1, _ = run(capsys, argv)
-    assert rc1 == 0
-    files = list(cache.glob("*.out"))
-    assert len(files) == 1
-    # prove the second run is served from the cache
-    ResultCache(str(cache)).store(files[0].stem, "SENTINEL\n")
+    cache = tmp_path / "envcache"
+    monkeypatch.setenv("TAUTRING_CACHE_DIR", str(cache))
     rc2, out2, _ = run(capsys, argv)
-    assert rc2 == 0 and out2 == "SENTINEL\n"
-
-
-def test_cache_key_distinguishes_parameters(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    base = ["pairing", "--g", "2", "--n", "2", "--format", "json",
-            "--cache-dir", str(cache)]
-    run(capsys, base + ["--k", "1"])
-    run(capsys, base + ["--k", "2"])
-    assert len(list(cache.glob("*.out"))) == 2
-
-
-def test_cache_env_var(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("TAUTRING_CACHE_DIR", str(tmp_path / "envcache"))
-    rc, out, _ = run(capsys, ["verify", "--g", "2", "--n", "1", "--format", "json"])
-    assert rc == 0
-    assert list((tmp_path / "envcache").glob("*.out"))
-
-
-def test_cached_verify_preserves_exit_code(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    argv = ["verify", "--g", "2", "--n", "1", "--format", "json",
-            "--cache-dir", str(cache)]
-    rc1, out1, _ = run(capsys, argv)
-    rc2, out2, _ = run(capsys, argv)
-    assert (rc1, out1) == (rc2, out2) == (0, out1)
-
-
-@pytest.mark.parametrize("argv,size", [
-    (["verify", "--g", "2", "--n", "3", "--format", "json"], 100),
-    (["pairing", "--g", "2", "--n", "3", "--k", "1", "--format", "json"], 50),
-], ids=["verify", "pairing"])
-def test_truncated_cache_entry_is_recomputed(capsys, tmp_path, argv, size):
-    cache = tmp_path / "cache"
-    rc1, out1, _ = run(capsys, argv)
-    run(capsys, argv + ["--cache-dir", str(cache)])
-    [entry] = cache.glob("*.out")
-    entry.write_bytes(entry.read_bytes()[:size])
-    rc2, out2, _ = run(capsys, argv + ["--cache-dir", str(cache)])
-    assert (rc2, out2) == (rc1, out1)
-    # the damaged entry was overwritten with the fresh result
-    assert ResultCache(str(cache)).load(entry.stem) == out1
-
-
-@pytest.mark.parametrize("fmt", ["json", "text"])
-def test_cached_failing_verify_exits_1(capsys, tmp_path, monkeypatch, fmt):
-    # one failing degree among passing ones: the replay must still exit 1
-    monkeypatch.setattr(
-        "tautring.cli.check_duality_classes",
-        lambda ctx, k: [("presence", k)] if k == 1 else [],
-    )
-    argv = ["verify", "--g", "2", "--n", "3", "--format", fmt,
-            "--cache-dir", str(tmp_path / "cache")]
-    rc1, out1, _ = run(capsys, argv)
-    rc2, out2, _ = run(capsys, argv)
-    assert (rc1, rc2) == (1, 1) and out1 == out2
-    if fmt == "json":
-        assert [c["ok"] for c in json.loads(out1)["checks"]] == [True, False, True, True]
+    assert (rc1, rc2) == (0, 0) and out1 == out2
+    assert not cache.exists()
