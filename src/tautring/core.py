@@ -522,3 +522,61 @@ def canonical_monomial(m: Monomial, n: int) -> Monomial:
     if best_key == [(s.key, e) for s, e in m.pairs]:
         return m
     return Monomial(tuple(sorted(((best[s], e) for s, e in m.pairs), key=_pair_order)))
+
+
+class PackedKeys:
+    """Packed integer keys of the monomials of degree at most ``top`` in the
+    ring of a context, and of their orbits under relabelling the markings.
+
+    The generators of the ring are numbered: ``k1 .. k(g-2)``, the ``K_i``,
+    the ``d(i,j)`` and the ``D(I)`` with ``|I| >= 3``.  Each gets a field of
+    ``b = top.bit_length()`` bits, so that ``2^b > top``, and the key of a
+    monomial is ``sum(e * 2^(b * index(s)))`` over its factors ``s^e``.
+    Every generator has degree at least 1, so no exponent of a monomial of
+    degree ``<= top`` exceeds ``top`` and each fits its field.  Hence the key
+    is injective on those monomials, and ``key(a * b) == key(a) + key(b)``
+    whenever ``deg a + deg b <= top``: the fields add with no carry.
+
+    Keys only index memos.  They are never decoded; :class:`Monomial` stays
+    the one representation.
+    """
+
+    __slots__ = ("_shift", "_sigmas", "_images")
+
+    def __init__(self, ctx: RingContext):
+        marks = ctx.markings
+        gens = (
+            [kappa(i) for i in range(1, ctx.g - 1)]
+            + [point_k(i) for i in marks]
+            + [diag(i, j) for i, j in itertools.combinations(marks, 2)]
+            + [exc(s) for size in range(3, ctx.n + 1) for s in itertools.combinations(marks, size)]
+        )
+        width = ctx.top_degree.bit_length()
+        self._shift = {s: width * t for t, s in enumerate(gens)}
+        self._sigmas = [dict(zip(marks, p)) for p in itertools.permutations(marks)]
+        # (s, e) -> [key of s^e relabelled by sigma, for each sigma], on first use
+        self._images: dict[tuple[Symbol, int], list[int]] = {}
+
+    def key(self, m: Monomial) -> int:
+        """The key of ``m``, a monomial of degree ``<= top`` in the ring."""
+        shift = self._shift
+        return sum([e << shift[s] for s, e in m.pairs])
+
+    def orbit_keys(self, m: Monomial) -> set[int]:
+        """The keys of every relabelling of ``m`` by a permutation of the
+        markings, the identity (so ``key(m)``) included."""
+        images = self._images
+        rows = []
+        for p in m.pairs:
+            row = images.get(p)
+            if row is None:
+                s, e = p
+                row = images[p] = [e << self._shift[_symbol_image(s, sigma)] for sigma in self._sigmas]
+            rows.append(row)
+        return set(map(sum, zip(*rows))) if rows else {0}
+
+
+@functools.lru_cache(maxsize=None)
+def packed_keys(ctx: RingContext) -> PackedKeys:
+    """The :class:`PackedKeys` of ``ctx``, built on first use."""
+    return PackedKeys(ctx)

@@ -8,8 +8,21 @@ exceptional part ``P`` and its columns the *dual* part ``dual(P)``
 (exponents reflected through their budgets).  Since the product commutes,
 block ``P`` of degree ``top - k`` is the transpose of block ``dual(P)`` of
 degree ``k``, and :func:`dual_matrix` reads the whole degree ``top - k``
-matrix off the degree ``k`` one.  The conjectured structure is then visible
-directly:
+matrix off the degree ``k`` one.
+
+The fill canonicalizes once per orbit of the symmetric group on the
+markings, not once per product.  Relabelling the markings is a ring
+automorphism that fixes the kappa classes and the socle, so a product and
+its relabellings have one value.  Every row and column gets a packed
+integer key (:class:`~tautring.core.PackedKeys`): one field per generator,
+wide enough that no exponent of a monomial of degree ``<= top`` overflows
+it, so the key of an entry's product is the row key plus the column key,
+with no carry.  The first product of each orbit met in row-major order is
+built and valued, and its value is stored under the key of every
+relabelling of it; every other entry is a lookup of its key, and its
+product is never built.  The process pool ships those first products.
+
+The conjectured structure is then visible directly:
 
 * entries vanish whenever one side's exceptional sets all lie strictly
   below the other side's and a filtration bound overshoots the top degree
@@ -35,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Monomial, RingContext, canonical_monomial
+from .core import Monomial, RingContext, packed_keys
 from .evaluate import Evaluator, KappaTable, evaluate_free
 from .forest import (
     ExceptionalForest,
@@ -148,11 +161,37 @@ def pairing_matrix(ctx: RingContext, k: int, evaluator: Optional[Evaluator] = No
     if parallelism > 1 and rows and cols:
         entries = _parallel_entries(ctx, evaluator, rows, cols, parallelism)
     else:
-        entries = tuple(
-            tuple(evaluator.evaluate_monomial(r.monomial * c.monomial) for c in cols)
-            for r in rows
-        )
+        entries = _orbit_fill(ctx, rows, cols, evaluator.evaluate_monomial)
     return PairingMatrix(ctx, k, rows, cols, entries, blocks)
+
+
+def _orbit_fill(ctx, rows, cols, value):
+    """The entries ``value(r * c)``, with ``value`` called once per S_n orbit.
+
+    ``value`` is called on the first product of each orbit in row-major
+    order, and its result is stored under the packed key of every
+    relabelling of that product.  Every other entry is read off the key
+    ``key(r) + key(c)`` of its product, which is never built, so it gets
+    the result for the first product of its orbit: ``value(r * c)`` itself
+    when ``value`` is constant on orbits, as the socle value is.
+    """
+    keys = packed_keys(ctx)
+    col_keys = [keys.key(c.monomial) for c in cols]
+    memo = {}
+    out = []
+    for r in rows:
+        rk = keys.key(r.monomial)
+        row = []
+        for c, ck in zip(cols, col_keys):
+            v = memo.get(rk + ck)
+            if v is None:
+                m = r.monomial * c.monomial
+                v = value(m)
+                for key in keys.orbit_keys(m):
+                    memo[key] = v
+            row.append(v)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def dual_matrix(matrix: PairingMatrix) -> PairingMatrix:
@@ -202,19 +241,14 @@ def all_degree_matrices(ctx: RingContext, fill):
 
 
 def _parallel_entries(ctx, evaluator, rows, cols, parallelism):
-    # workers evaluate one representative per S_n orbit of the products
-    rep_text: dict[Monomial, str] = {}
-    keys = []
-    for r in rows:
-        krow = []
-        for c in cols:
-            m = r.monomial * c.monomial
-            text = rep_text.get(m)
-            if text is None:
-                text = rep_text[m] = repr(canonical_monomial(m, ctx.n))
-            krow.append(text)
-        keys.append(krow)
-    unique = sorted(set(rep_text.values()))
+    # workers evaluate the first product of each S_n orbit, shipped as text
+    unique = []
+
+    def ship(m):
+        unique.append(repr(m))
+        return unique[-1]
+
+    texts = _orbit_fill(ctx, rows, cols, ship)
     n_chunks = min(len(unique), parallelism * 4)
     size = -(-len(unique) // n_chunks)
     chunks = [unique[i:i + size] for i in range(0, len(unique), size)]
@@ -228,7 +262,7 @@ def _parallel_entries(ctx, evaluator, rows, cols, parallelism):
         for out in pool.map(_pool_eval, chunks):
             for s, v in out:
                 values[s] = Fraction(v)
-    return tuple(tuple(values[s] for s in krow) for krow in keys)
+    return tuple(tuple(values[s] for s in row) for row in texts)
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +332,19 @@ def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = 
     is expected to equal a single constant times the reference, which
     ``proportional`` reports.
 
-    ``reference`` memoizes those evaluations by ``(S, a * a')``.  Pass one
-    dict to every call of a run with the same ring and table, so that the
-    degrees sharing keys (``k`` and ``top - k`` share all of them) evaluate
-    each key once.
+    ``reference`` memoizes those evaluations by ``S`` and the packed key of
+    ``a * a'`` (:class:`~tautring.core.PackedKeys`), the sum of the keys of
+    ``a`` and ``a'``; the product is built only on a miss.  Pass one dict to
+    every call of a run with the same ring and table, so that the degrees
+    sharing keys (``k`` and ``top - k`` share all of them) evaluate each key
+    once.
     """
     ctx = matrix.ctx
     if table is None:
         table = KappaTable.builtin(ctx.g)
     if reference is None:
         reference = {}
+    keys = packed_keys(ctx)
     out = []
     for block in matrix.blocks:
         S = block.S
@@ -315,14 +352,16 @@ def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = 
         sub = matrix.submatrix(block)
         brows = matrix.rows[block.row_start:block.row_stop]
         bcols = matrix.cols[block.col_start:block.col_stop]
+        col_keys = [keys.key(c.apart) for c in bcols]
         ref = []
         for r in brows:
+            rk = keys.key(r.apart)
             ref_row = []
-            for c in bcols:
-                key = (S, r.apart * c.apart)
+            for c, ck in zip(bcols, col_keys):
+                key = (S, rk + ck)
                 v = reference.get(key)
                 if v is None:
-                    v = reference[key] = evaluate_free(ctx, table, key[1], markings=S)
+                    v = reference[key] = evaluate_free(ctx, table, r.apart * c.apart, markings=S)
                 ref_row.append(v)
             ref.append(ref_row)
         constant = None

@@ -207,6 +207,26 @@ def test_verify_output_bytes_pinned(capsys, g, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[(g, n, fmt)]
 
 
+# sha256 of pairing stdout, taken while every product of the fill was
+# built and canonicalized: valuing one product per S_n orbit and reading the
+# rest off packed keys must not change a byte, with or without the pool.
+PAIRING_SHA256 = {
+    ("--g", "3", "--n", "4", "--k", "2", "--format", "json"):
+        "e5a2eb702c41256360552ac268bb8e0291136ab01ed287a14ad1abe1e3f0f358",
+    ("--g", "3", "--n", "4", "--k", "2", "--format", "json", "--parallelism", "2"):
+        "e5a2eb702c41256360552ac268bb8e0291136ab01ed287a14ad1abe1e3f0f358",
+    ("--g", "2", "--n", "5", "--k", "2", "--format", "csv"):
+        "cefaa470f687548f1ae4f9254bc12ee9ea01c9ba40df187f6921dc1758276a02",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PAIRING_SHA256))
+def test_pairing_output_bytes_pinned(capsys, argv):
+    rc, out, _ = run(capsys, ["pairing", *argv])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PAIRING_SHA256[argv]
+
+
 # sha256 of `normalize --emit-certificate` stdout, taken before the
 # certified walk shared its memo with plain normalization and evaluation:
 # the certificate steps and their order must not change.

@@ -15,7 +15,7 @@ from tautring import (
     point_k,
     relabel,
 )
-from tautring.core import check_symbol, relabel_monomial
+from tautring.core import check_symbol, packed_keys, relabel_monomial
 
 
 def test_context_validation():
@@ -189,3 +189,50 @@ def test_product_merges_like_from_pairs(a, b):
     ref = Monomial.from_pairs(a.pairs + b.pairs)
     assert prod == ref
     assert prod.pairs == ref.pairs
+
+
+# -- packed keys ------------------------------------------------------------
+
+
+def _generators(ctx):
+    marks = ctx.markings
+    return (
+        [kappa(i) for i in range(1, ctx.g - 1)]
+        + [point_k(i) for i in marks]
+        + [diag(i, j) for i, j in itertools.combinations(marks, 2)]
+        + [exc(s) for size in range(3, ctx.n + 1) for s in itertools.combinations(marks, size)]
+    )
+
+
+def _ring_monomials(ctx, max_degree):
+    return st.lists(st.sampled_from(_generators(ctx)), max_size=max_degree).map(
+        lambda syms: Monomial.from_symbols(*syms)
+    ).filter(lambda m: m.degree <= max_degree)
+
+
+@pytest.mark.parametrize("g,n", [(2, 1), (2, 3), (3, 4), (2, 5), (4, 5), (5, 3)])
+@given(data=st.data())
+def test_packed_key_adds_and_separates(g, n, data):
+    ctx = RingContext(g, n)
+    keys = packed_keys(ctx)
+    top = ctx.top_degree
+    a = data.draw(_ring_monomials(ctx, top))
+    b = data.draw(_ring_monomials(ctx, top - a.degree))
+    c = data.draw(_ring_monomials(ctx, top))
+    assert keys.key(a * b) == keys.key(a) + keys.key(b)
+    assert (keys.key(a) == keys.key(c)) == (a == c)
+
+
+@pytest.mark.parametrize("g,n", [(2, 3), (2, 4), (4, 3)])
+def test_packed_key_is_injective_up_to_top_degree(g, n):
+    # every monomial of degree <= top, so an exponent that overflows its
+    # field cannot hide from a sample
+    ctx = RingContext(g, n)
+    keys = packed_keys(ctx)
+    monos = {
+        Monomial.from_symbols(*syms)
+        for r in range(ctx.top_degree + 1)
+        for syms in itertools.combinations_with_replacement(_generators(ctx), r)
+    }
+    monos = [m for m in monos if m.degree <= ctx.top_degree]
+    assert len({keys.key(m) for m in monos}) == len(monos)

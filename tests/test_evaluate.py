@@ -25,7 +25,7 @@ from tautring import (
     point_k,
     socle_monomial,
 )
-from tautring.core import canonical_monomial, relabel_monomial
+from tautring.core import canonical_monomial, packed_keys, relabel_monomial
 from tautring.evaluate import socle_raw_value
 from tautring.pairing import dual_label
 
@@ -294,6 +294,18 @@ def test_canonical_monomial_picks_one_member_of_each_orbit(g, n):
         rep = reps.pop()
         assert rep in orbit
         assert canonical_monomial(rep, n) is rep
+
+
+@pytest.mark.parametrize("g,n", [(2, 3), (3, 4), (2, 5)])
+def test_orbit_keys_are_the_keys_of_the_relabellings(g, n):
+    ctx = RingContext(g, n)
+    keys = packed_keys(ctx)
+    seed = g * 10 + n
+    sample = _sample_products(ctx, 60, seed) + _sample_products(ctx, 20, seed, exceptional=True)
+    for m in sample:
+        orbit = {keys.key(relabel_monomial(m, _relabelling(p))) for p in itertools.permutations(ctx.markings)}
+        assert keys.orbit_keys(m) == orbit
+        assert keys.key(m) in orbit
 
 
 def _value_without_orbits(ctx, table, m):

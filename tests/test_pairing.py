@@ -481,7 +481,7 @@ def test_gorenstein_dims_raises_on_asymmetric_ranks(monkeypatch):
         gorenstein_dims(ctx, ev)
 
 
-# -- parallel evaluation --------------------------------------------------------------------
+# -- the fill --------------------------------------------------------------------
 
 
 def test_parallel_matches_serial():
@@ -492,3 +492,16 @@ def test_parallel_matches_serial():
         parallel = pairing_matrix(ctx, k, ev, parallelism=2)
         assert serial.entries == parallel.entries
         assert [r.monomial for r in serial.rows] == [r.monomial for r in parallel.rows]
+
+
+@pytest.mark.parametrize("g,n,parallelism", [(g, n, 1) for g in (2, 3) for n in (1, 2, 3, 4)] + [(3, 3, 2)])
+def test_entries_are_the_values_of_their_products(g, n, parallelism):
+    # the fill values one product per S_n orbit and reads the others off
+    # packed keys; every entry must still be the value of its own product
+    ctx = RingContext(g, n)
+    ev = Evaluator(ctx)
+    for k in range(ctx.top_degree + 1):
+        m = pairing_matrix(ctx, k, Evaluator(ctx), parallelism)
+        assert m.entries == tuple(
+            tuple(ev.evaluate_monomial(r.monomial * c.monomial) for c in m.cols) for r in m.rows
+        )
