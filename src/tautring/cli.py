@@ -27,7 +27,7 @@ from .evaluate import EvaluationError, Evaluator, KappaTable, KappaTableError
 from .forest import enumerate_basis
 from .grammar import GrammarError, parse_monomial, parse_polynomial
 from .pairing import (
-    all_degree_matrices,
+    all_degree_reports,
     check_duality_classes,
     conjecture_check,
     is_gorenstein,
@@ -181,12 +181,14 @@ def _verify_data(args, ctx: RingContext, table: KappaTable) -> dict:
     def fill(k):
         return pairing_matrix(ctx, k, evaluator, args.parallelism)
 
-    matrices = [fill(args.k)] if args.k is not None else all_degree_matrices(ctx, fill)
+    if args.k is not None:
+        reports = [conjecture_check(fill(args.k), table, reference)]
+    else:
+        reports = all_degree_reports(ctx, fill, table, reference)
     checks = []
     all_ok = True
-    for matrix in matrices:
-        k = matrix.k
-        report = conjecture_check(matrix, table, reference)
+    for report in reports:
+        k = report.k
         duality_bad = check_duality_classes(ctx, k)
         ok = report.ok and not duality_bad
         all_ok = all_ok and ok

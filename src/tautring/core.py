@@ -399,7 +399,10 @@ class Polynomial:
     def mul_monomial(self, m: Monomial, coeff: Scalar = 1) -> "Polynomial":
         c = _as_fraction(coeff)
         out = Polynomial()
-        out._terms = {m * m1: c1 * c for m1, c1 in self._terms.items()} if c else {}
+        if c == 1:
+            out._terms = {m * m1: c1 for m1, c1 in self._terms.items()}
+        elif c:
+            out._terms = {m * m1: c1 * c for m1, c1 in self._terms.items()}
         return out
 
     def homogeneous_degree(self) -> int:

@@ -8,7 +8,8 @@ exceptional part ``P`` and its columns the *dual* part ``dual(P)``
 (exponents reflected through their budgets).  Since the product commutes,
 block ``P`` of degree ``top - k`` is the transpose of block ``dual(P)`` of
 degree ``k``, and :func:`dual_matrix` reads the whole degree ``top - k``
-matrix off the degree ``k`` one.
+matrix off the degree ``k`` one; :func:`dual_conjecture_check` reads its
+block reports and rank off those of degree ``k``.
 
 The fill canonicalizes once per orbit of the symmetric group on the
 markings, not once per product.  Relabelling the markings is a ring
@@ -323,6 +324,66 @@ class BlockConstantReport:
         return self.block_rank == self.reference_rank
 
 
+def _block_report(ctx: RingContext, block: PairingBlock, constant: Optional[Fraction],
+                  proportional: bool, block_rank: int, reference_rank: int) -> BlockConstantReport:
+    """The report of ``block`` from its comparison with the reference; the
+    label, marking set, sign exponent and rule constants come from the block."""
+    eps = block.forest.epsilon()
+    sign = Fraction(-1) ** eps
+    return BlockConstantReport(
+        label=block.label,
+        S=block.S,
+        epsilon=eps,
+        n_rows=block.n_rows,
+        n_cols=block.n_cols,
+        constant=constant,
+        proportional=proportional,
+        rule_constant=sign * Fraction(ctx.kappa_zero) ** (len(block.S) - ctx.n),
+        quoted_constant=sign * Fraction(ctx.kappa_zero) ** (ctx.n - len(block.S) + 1),
+        block_rank=block_rank,
+        reference_rank=reference_rank,
+    )
+
+
+def _compare_block(matrix: PairingMatrix, block: PairingBlock, table: KappaTable,
+                   reference: dict) -> BlockConstantReport:
+    ctx = matrix.ctx
+    keys = packed_keys(ctx)
+    S = block.S
+    sub = matrix.submatrix(block)
+    brows = matrix.rows[block.row_start:block.row_stop]
+    bcols = matrix.cols[block.col_start:block.col_stop]
+    col_keys = [keys.key(c.apart) for c in bcols]
+    ref = []
+    for r in brows:
+        rk = keys.key(r.apart)
+        ref_row = []
+        for c, ck in zip(bcols, col_keys):
+            key = (S, rk + ck)
+            v = reference.get(key)
+            if v is None:
+                v = reference[key] = evaluate_free(ctx, table, r.apart * c.apart, markings=S)
+            ref_row.append(v)
+        ref.append(ref_row)
+    constant = None
+    for i in range(len(brows)):
+        for j in range(len(bcols)):
+            if ref[i][j]:
+                constant = sub[i][j] / ref[i][j]
+                break
+        if constant is not None:
+            break
+    if constant is None:
+        proportional = all(not v for row in sub for v in row)
+    else:
+        proportional = all(
+            sub[i][j] == constant * ref[i][j]
+            for i in range(len(brows))
+            for j in range(len(bcols))
+        )
+    return _block_report(ctx, block, constant, proportional, exact_rank(sub), exact_rank(ref))
+
+
 def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = None,
                            reference: Optional[dict] = None) -> list[BlockConstantReport]:
     """Compare each diagonal block against its exceptional-free reference.
@@ -339,62 +400,11 @@ def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = 
     sharing keys (``k`` and ``top - k`` share all of them) evaluate each key
     once.
     """
-    ctx = matrix.ctx
     if table is None:
-        table = KappaTable.builtin(ctx.g)
+        table = KappaTable.builtin(matrix.ctx.g)
     if reference is None:
         reference = {}
-    keys = packed_keys(ctx)
-    out = []
-    for block in matrix.blocks:
-        S = block.S
-        eps = block.forest.epsilon()
-        sub = matrix.submatrix(block)
-        brows = matrix.rows[block.row_start:block.row_stop]
-        bcols = matrix.cols[block.col_start:block.col_stop]
-        col_keys = [keys.key(c.apart) for c in bcols]
-        ref = []
-        for r in brows:
-            rk = keys.key(r.apart)
-            ref_row = []
-            for c, ck in zip(bcols, col_keys):
-                key = (S, rk + ck)
-                v = reference.get(key)
-                if v is None:
-                    v = reference[key] = evaluate_free(ctx, table, r.apart * c.apart, markings=S)
-                ref_row.append(v)
-            ref.append(ref_row)
-        constant = None
-        for i in range(len(brows)):
-            for j in range(len(bcols)):
-                if ref[i][j]:
-                    constant = sub[i][j] / ref[i][j]
-                    break
-            if constant is not None:
-                break
-        if constant is None:
-            proportional = all(not v for row in sub for v in row)
-        else:
-            proportional = all(
-                sub[i][j] == constant * ref[i][j]
-                for i in range(len(brows))
-                for j in range(len(bcols))
-            )
-        sign = Fraction(-1) ** eps
-        out.append(BlockConstantReport(
-            label=block.label,
-            S=S,
-            epsilon=eps,
-            n_rows=block.n_rows,
-            n_cols=block.n_cols,
-            constant=constant,
-            proportional=proportional,
-            rule_constant=sign * Fraction(ctx.kappa_zero) ** (len(S) - ctx.n),
-            quoted_constant=sign * Fraction(ctx.kappa_zero) ** (ctx.n - len(S) + 1),
-            block_rank=exact_rank(sub),
-            reference_rank=exact_rank(ref),
-        ))
-    return out
+    return [_compare_block(matrix, block, table, reference) for block in matrix.blocks]
 
 
 @dataclass(frozen=True)
@@ -434,6 +444,67 @@ def conjecture_check(matrix: PairingMatrix, table: Optional[KappaTable] = None,
         triangle_violations=verify_triangular(matrix),
         block_reports=tuple(block_constant_reports(matrix, table, reference)),
     )
+
+
+def dual_conjecture_check(matrix: PairingMatrix, report: ConjectureReport,
+                          table: Optional[KappaTable] = None,
+                          reference: Optional[dict] = None) -> ConjectureReport:
+    """The report of degree ``top - k``, read off ``report``, the report of
+    ``matrix`` (degree ``k``), on its :func:`dual_matrix`.
+
+    Block ``P`` of degree ``top - k`` is the transpose of block ``dual(P)``
+    of degree ``k``; both have the marking set of ``P``, and the reference
+    entry ``a * a'`` is symmetric.  So when block ``dual(P)`` is
+    proportional, block ``P`` is too, with the same constant, block rank and
+    reference rank; and the matrix rank is that of degree ``k``, since
+    ``rank M^T = rank M``.  The label (``P``, not ``dual(P)``), marking
+    set, sign exponent and rule constants come from block ``P`` itself.  A
+    block whose partner is not proportional is compared directly: there the
+    first nonzero in row-major order, and so the constant, can change under
+    transposition.  The vanishing rule is checked on the degree ``top - k``
+    matrix itself.
+    """
+    dual = dual_matrix(matrix)
+    if table is None:
+        table = KappaTable.builtin(dual.ctx.g)
+    if reference is None:
+        reference = {}
+    partners = {b.forest: r for b, r in zip(matrix.blocks, report.block_reports)}
+    block_reports = []
+    for block in dual.blocks:
+        p = partners[dual_forest(block.forest)]
+        if p.proportional:
+            block_reports.append(_block_report(
+                dual.ctx, block, p.constant, True, p.block_rank, p.reference_rank
+            ))
+        else:
+            block_reports.append(_compare_block(dual, block, table, reference))
+    return ConjectureReport(
+        k=dual.k,
+        n_rows=len(dual.rows),
+        n_cols=len(dual.cols),
+        matrix_rank=report.matrix_rank,
+        triangle_violations=verify_triangular(dual),
+        block_reports=tuple(block_reports),
+    )
+
+
+def all_degree_reports(ctx: RingContext, fill, table: Optional[KappaTable] = None,
+                       reference: Optional[dict] = None):
+    """The :func:`conjecture_check` of every degree, in the order of
+    :func:`all_degree_matrices`: degree ``k <= top / 2`` is filled by
+    ``fill(k)`` and checked, and degree ``top - k`` is read off it by
+    :func:`dual_conjecture_check`."""
+    if reference is None:
+        reference = {}
+    top = ctx.top_degree
+    for k in range(top // 2 + 1):
+        matrix = fill(k)
+        report = conjecture_check(matrix, table, reference)
+        yield report
+        if 2 * k != top:
+            yield dual_conjecture_check(matrix, report, table, reference)
+        del matrix
 
 
 # ---------------------------------------------------------------------------

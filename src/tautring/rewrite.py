@@ -40,10 +40,20 @@ the result is supported on standard monomials.  Termination is enforced by a
 step budget, one unit per distinct monomial rewritten in a call, and by cycle
 detection.  The memo is the rewrite graph, shared by plain and certified
 normalization and by evaluation: each is one linear pass over it.
+
+Each rewrite step is built once per ring and process.  :func:`relation_step`
+keeps one table keyed by the ring, the family and the parameters the
+normalizer found (for ``R3``: the vertex set, its child sets, its budget and
+the pivot), holding the step and its remainder, so applying a step to ``m``
+is one :meth:`~tautring.core.Polynomial.mul_monomial` by ``m / L``.  The
+table is sound because an instance is a function of the ring and its
+parameters only, and no instance or remainder is ever mutated.  It changes
+what a step costs, not which steps are taken, in what order, or the budget.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -243,29 +253,67 @@ def instance_CD(ctx: RingContext, i: int, j: int, k: int) -> RelationInstance:
 
 
 # ---------------------------------------------------------------------------
-# vertex reduction
+# rewrite steps
 
 
-Step = tuple[RelationInstance, Monomial, Fraction]
+class Step(tuple):
+    """A rewrite step ``(instance, L, c_L)``: ``L`` is the leading monomial
+    of the relation instance and ``c_L`` its coefficient there.
 
-
-def vertex_reduction(ctx: RingContext, forest, vertex: int, pivot: str = "min") -> Step:
-    """Reduction step data for an over-bound forest vertex.
-
-    Returns ``(instance, L, c_L)`` where ``L = D(V)^B * prod children`` is
-    the leading monomial of the relation and ``c_L = (-1)^B`` its
-    coefficient.  Raises :class:`ReductionStuck` when the vertex is fully
-    covered by its children so that no block relation is headed by it.
+    :attr:`remainder` is what ``L`` rewrites to,
+    ``-(instance.poly - c_L * L) / c_L``, built on first use.
     """
-    V = forest.vertex_set(vertex)
-    child_sets = sorted(
-        (forest.vertex_set(c) for c in forest.children[vertex]), key=lambda s: s[0]
-    )
+
+    def __new__(cls, instance: RelationInstance, leading: Monomial, coeff: Fraction):
+        return super().__new__(cls, (instance, leading, coeff))
+
+    @functools.cached_property
+    def remainder(self) -> Polynomial:
+        inst, L, c_L = self
+        return (inst.poly - _poly(L, c_L)) * (Fraction(-1) / c_L)
+
+
+def _step_R1a(ctx: RingContext, members, i: int, j: int) -> Step:
+    # the normalizer leads with d(i,j) when it rewrites a diagonal inside the
+    # root (i > j) and with K[j] when it moves K off a non-minimal marking
+    # onto the root minimum i (i < j)
+    lead = diag(i, j) if i > j else point_k(j)
+    return Step(instance_R1a(ctx, members, i, j), _mono(lead, exc(members)), Fraction(1))
+
+
+def _step_R1b(ctx: RingContext, members, i: int, j: int, k: int) -> Step:
+    return Step(instance_R1b(ctx, members, i, j, k), _mono(diag(i, k), exc(members)), Fraction(1))
+
+
+def _step_V0(ctx: RingContext, members_a, members_b) -> Step:
+    inst = instance_V0(ctx, members_a, members_b)
+    return Step(inst, _mono(exc(members_a), exc(members_b)), Fraction(1))
+
+
+def _step_V1(ctx: RingContext, reason: str, m: Monomial) -> Step:
+    return Step(instance_V1(ctx, m, reason), m, Fraction(1))
+
+
+def _step_CS(ctx: RingContext, i: int, j: int) -> Step:
+    d = diag(i, j)
+    return Step(instance_CS(ctx, i, j), _mono(d, d), Fraction(1))
+
+
+def _step_CK(ctx: RingContext, i: int, j: int) -> Step:
+    return Step(instance_CK(ctx, i, j), _mono(diag(i, j), point_k(j)), Fraction(1))
+
+
+def _step_CD(ctx: RingContext, i: int, j: int, k: int) -> Step:
+    return Step(instance_CD(ctx, i, j, k), _mono(diag(i, j), diag(j, k)), Fraction(1))
+
+
+def _step_R3(ctx: RingContext, V: tuple[int, ...], child_sets: tuple[tuple[int, ...], ...],
+             B: int, pivot: str) -> Step:
     covered = set().union(*map(set, child_sets)) if child_sets else set()
     free = sorted(set(V) - covered)
     if not free:
         raise ReductionStuck(
-            f"vertex {V} is covered by its children {child_sets}; "
+            f"vertex {V} is covered by its children {list(child_sets)}; "
             "no reduction relation is headed by it"
         )
     anchor = free[0] if pivot == "min" else free[-1]
@@ -282,9 +330,50 @@ def vertex_reduction(ctx: RingContext, forest, vertex: int, pivot: str = "min") 
     for t, img in enumerate(images, start=1):
         sigma[t - 1] = img
     inst = instance_R3(ctx, rseq, tuple(sigma))
-    B = forest.bound_total(vertex)
     L = Monomial.from_pairs([(exc(V), B)] + [(exc(c), 1) for c in child_sets])
-    return inst, L, Fraction(-1) ** B
+    return Step(inst, L, Fraction(-1) ** B)
+
+
+_STEP_BUILDERS = {
+    "R1a": _step_R1a,
+    "R1b": _step_R1b,
+    "R3": _step_R3,
+    "V0": _step_V0,
+    "V1": _step_V1,
+    "CS": _step_CS,
+    "CK": _step_CK,
+    "CD": _step_CD,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def relation_step(ctx: RingContext, family: str, params: tuple) -> Step:
+    """The rewrite step of ``family`` with the parameters the normalizer
+    found, built once per ring and process.
+
+    The parameters are those of the family's ``instance_*`` builder
+    (``(reason, m)`` for ``V1``) and, for ``R3``, the inputs of
+    :func:`vertex_reduction`: ``(V, child sets, bound_total, pivot)``.  A
+    step is a pure function of the ring and these parameters, and neither
+    its instance nor its remainder is ever mutated, so one table serves
+    every :class:`Normalizer` of the process.
+    """
+    return _STEP_BUILDERS[family](ctx, *params)
+
+
+def vertex_reduction(ctx: RingContext, forest, vertex: int, pivot: str = "min") -> Step:
+    """Reduction step data for an over-bound forest vertex.
+
+    Returns ``(instance, L, c_L)`` where ``L = D(V)^B * prod children`` is
+    the leading monomial of the relation and ``c_L = (-1)^B`` its
+    coefficient.  Raises :class:`ReductionStuck` when the vertex is fully
+    covered by its children so that no block relation is headed by it.
+    """
+    child_sets = tuple(sorted(
+        (forest.vertex_set(c) for c in forest.children[vertex]), key=lambda s: s[0]
+    ))
+    params = (forest.vertex_set(vertex), child_sets, forest.bound_total(vertex), pivot)
+    return relation_step(ctx, "R3", params)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +417,15 @@ class Certificate:
 
 
 def apply_step(m: Monomial, step: Step) -> Polynomial:
-    """Rewrite ``m`` by one step: ``m -> m - (1/c_L) * (m/L) * relation``."""
-    inst, L, c_L = step
-    Q = m.try_div(L)
+    """Rewrite ``m`` by one step: ``m -> m - (1/c_L) * (m/L) * relation``,
+    which is ``(m/L) * remainder``.  ``step`` may be a plain
+    ``(instance, L, c_L)`` tuple."""
+    if not isinstance(step, Step):
+        step = Step(*step)
+    Q = m.try_div(step[1])
     if Q is None:
-        raise ValueError(f"leading monomial {L!r} does not divide {m!r}")
-    rest = inst.poly - _poly(L, c_L)
-    return rest.mul_monomial(Q, Fraction(-1) / c_L)
+        raise ValueError(f"leading monomial {step[1]!r} does not divide {m!r}")
+    return step.remainder.mul_monomial(Q)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +460,13 @@ class Normalizer:
         ctx = self.ctx
         for s, _ in m.pairs:
             if s.kind == KAPPA and s.params[0] > ctx.g - 2:
-                return instance_V1(ctx, m, "kappa"), m, Fraction(1)
+                return relation_step(ctx, "V1", ("kappa", m))
         forest = build_forest(ctx, m)
         if forest is None:
             items = m.exc_items()
             for (a, _), (b, _) in itertools.combinations(items, 2):
                 if not nested_or_disjoint(frozenset(a), frozenset(b)):
-                    inst = instance_V0(ctx, a, b)
-                    return inst, _mono(exc(a), exc(b)), Fraction(1)
+                    return relation_step(ctx, "V0", (a, b))
             raise AssertionError("zero class without an overlapping pair")
 
         root_sets = [forest.vertex_set(r) for r in forest.roots]
@@ -392,8 +482,7 @@ class Normalizer:
             u, v = s.params
             ru = root_of.get(u)
             if ru is not None and ru is root_of.get(v):
-                inst = instance_R1a(ctx, ru, v, u)
-                return inst, _mono(s, exc(ru)), Fraction(1)
+                return relation_step(ctx, "R1a", (ru, v, u))
 
         # K on a covered marking that is not its root minimum
         for s, _ in m.pairs:
@@ -402,8 +491,7 @@ class Normalizer:
             x = s.params[0]
             rx = root_of.get(x)
             if rx is not None and x != rx[0]:
-                inst = instance_R1a(ctx, rx, rx[0], x)
-                return inst, _mono(s, exc(rx)), Fraction(1)
+                return relation_step(ctx, "R1a", (rx, rx[0], x))
 
         # diagonal leg on a covered non-minimal marking, other leg outside
         for s, _ in m.pairs:
@@ -413,14 +501,13 @@ class Normalizer:
             for a, b in ((u, v), (v, u)):
                 ra = root_of.get(a)
                 if ra is not None and b not in ra and a != ra[0]:
-                    inst = instance_R1b(ctx, ra, a, ra[0], b)
-                    return inst, _mono(s, exc(ra)), Fraction(1)
+                    return relation_step(ctx, "R1b", (ra, a, ra[0], b))
 
         # dimension kill of the non-exceptional part
         S = marking_set(ctx, forest)
         apart = m.a_part()
         if apart.degree > ctx.g - 2 + len(S) and apart.marking_indices() <= S:
-            return instance_V1(ctx, m, "degree"), m, Fraction(1)
+            return relation_step(ctx, "V1", ("degree", m))
 
         # over-bound vertices, deepest first
         over = [
@@ -434,8 +521,7 @@ class Normalizer:
         # cluster form: squares of diagonals
         for s, e in m.pairs:
             if s.kind == DIAG and e >= 2:
-                i, j = s.params
-                return instance_CS(ctx, i, j), _mono(s, s), Fraction(1)
+                return relation_step(ctx, "CS", s.params)
 
         # cluster form: re-anchor chained diagonals at the smaller index
         diags = [s for s, _ in m.pairs if s.kind == DIAG]
@@ -447,8 +533,7 @@ class Normalizer:
             x = f.params[0] if f.params[1] == y else f.params[1]
             z = h.params[0] if h.params[1] == y else h.params[1]
             if x < y:
-                inst = instance_CD(ctx, x, y, z)
-                return inst, _mono(f, h), Fraction(1)
+                return relation_step(ctx, "CD", (x, y, z))
 
         # cluster form: K belongs on the anchor of its cluster
         points = [s for s, _ in m.pairs if s.kind == POINT]
@@ -456,9 +541,7 @@ class Normalizer:
             y = p.params[0]
             for f in diags:
                 if y == f.params[1]:
-                    x = f.params[0]
-                    inst = instance_CK(ctx, x, y)
-                    return inst, _mono(f, p), Fraction(1)
+                    return relation_step(ctx, "CK", f.params)
         return None
 
     # -- normalization -----------------------------------------------------

@@ -24,7 +24,9 @@ from tautring import pairing as pairing_module
 from tautring.pairing import (
     PairingMatrix,
     all_degree_matrices,
+    all_degree_reports,
     block_constant_reports,
+    dual_conjecture_check,
     dual_label,
     dual_matrix,
 )
@@ -439,6 +441,42 @@ def test_dual_matrix_rejects_layout_mismatch(change):
         bad = dataclasses.replace(m, rows=(stray,) + m.rows[1:])
     with pytest.raises(ValueError):
         dual_matrix(bad)
+
+
+@pytest.mark.parametrize("g,n", [(g, n) for g in (2, 3) for n in (1, 2, 3, 4)])
+def test_reports_read_off_by_transposition_equal_computed_ones(g, n):
+    """The report of degree top - k read off degree k equals the one
+    computed on the degree top - k matrix, in every degree, and the
+    all-degree loop yields one report per degree."""
+    ctx, ev, ms = get_matrices(g, n)
+    top = ctx.top_degree
+    computed = [conjecture_check(m, ev.table) for m in ms]
+    for m, report in zip(ms, computed):
+        assert dual_conjecture_check(m, report, ev.table) == computed[top - m.k]
+    got = list(all_degree_reports(ctx, ms.__getitem__, ev.table))
+    assert sorted(r.k for r in got) == list(range(top + 1))
+    for report in got:
+        assert report == computed[report.k]
+
+
+def test_report_of_a_non_proportional_partner_is_computed():
+    """A block whose degree-k partner is not proportional is compared on
+    the transposed matrix itself, not read off."""
+    ctx, ev, ms = get_matrices(2, 3)
+    m = ms[1]
+    b = next(b for b in m.blocks if b.n_rows > 1 and b.n_cols > 1)
+    i, j = next(
+        (i, j)
+        for i in range(b.row_start, b.row_stop)
+        for j in range(b.col_start, b.col_stop)
+        if m.entries[i][j]
+    )
+    bad = with_entries(m, {(i, j): 2 * m.entries[i][j]})
+    report = conjecture_check(bad, ev.table)
+    assert not all(r.proportional for r in report.block_reports)
+    read = dual_conjecture_check(bad, report, ev.table)
+    assert read == conjecture_check(dual_matrix(bad), ev.table)
+    assert not read.ok
 
 
 # -- duality of classes ----------------------------------------------------------------

@@ -33,6 +33,7 @@ from tautring.rewrite import (
     instance_R3,
     instance_V0,
     instance_V1,
+    relation_step,
     superset_sum,
     vertex_reduction,
 )
@@ -337,8 +338,11 @@ def test_normalize_is_linear(ctx23):
 
 def test_budget_exhaustion():
     ctx = RingContext(2, 3)
-    nz = Normalizer(ctx, max_steps=1)
     src = Polynomial.monomial(Monomial.from_pairs([(exc((1, 2, 3)), 2)]))
+    # a warm step table does not change the budget unit: one per distinct
+    # monomial rewritten in the call, not one per step built
+    assert not Normalizer(ctx).normalize(src).is_zero
+    nz = Normalizer(ctx, max_steps=1)
     with pytest.raises(NonTermination):
         nz.normalize(src)
     # the budget is per call: a fresh call with enough budget succeeds
@@ -377,3 +381,70 @@ def test_vertex_reduction_pivot_changes_anchor():
     inst_min, _, _ = vertex_reduction(ctx, f, 0, pivot="min")
     inst_max, _, _ = vertex_reduction(ctx, f, 0, pivot="max")
     assert inst_min.params != inst_max.params
+
+
+# -- the process-wide step table --------------------------------------------------
+
+
+def test_step_table_keys_the_pivot():
+    """Certifying with pivot "min" first leaves no min-anchored R3 step for
+    a later "max" normalizer of the same ring."""
+    ctx = RingContext(2, 4)
+    src = parse_polynomial(ctx, "D(1,2,3,4)^3")
+    f = build_forest(ctx, next(m for m, _ in src.items()))
+    by_min = vertex_reduction(ctx, f, 0, pivot="min")[0].params
+    by_max = vertex_reduction(ctx, f, 0, pivot="max")[0].params
+    assert by_max == ((4,), (4, 1, 2, 3)) != by_min
+    r3_params = []
+    for pivot in ("min", "max"):
+        out, cert = Normalizer(ctx, pivot=pivot).normalize(src, record=True)
+        assert cert.verify(src, out)
+        r3_params.append({s.instance.params for s in cert.steps if s.instance.family == "R3"})
+    assert by_min in r3_params[0] and by_max not in r3_params[0]
+    assert by_max in r3_params[1] and by_min not in r3_params[1]
+
+
+_INSTANCE_BUILDERS = {
+    "R1a": instance_R1a,
+    "R1b": instance_R1b,
+    "R3": instance_R3,
+    "V0": instance_V0,
+    "CS": instance_CS,
+    "CK": instance_CK,
+    "CD": instance_CD,
+}
+
+
+def test_step_table_keys_the_ring():
+    """Normalizations interleaved over three rings get the steps of their own
+    ring: the R3 polynomial depends on the markings through superset_sum."""
+    inputs = ["D(1,2,3)^2", "d(1,2)*D(1,2,3)^2", "K2*K3*D(1,2,3)^2", "d(1,2)^2*d(2,3)*K3",
+              "d(2,4)*D(1,2,3)^2"]
+    rings = [RingContext(2, 3), RingContext(2, 4), RingContext(3, 4)]
+    seen = []
+    for text in inputs:
+        for ctx in rings:
+            if "4" in text and ctx.n < 4:
+                continue
+            nz = Normalizer(ctx)
+            _, steps = nz.rewrite_order(m for m, _ in parse_polynomial(ctx, text).items())
+            seen.extend((ctx, m, step) for m, step in steps.items())
+    assert {step[0].family for _, _, step in seen} >= {"R1a", "R1b", "R3", "V1", "CS", "CK"}
+    r3 = {}
+    for ctx, m, (inst, lead, c_lead) in seen:
+        if inst.family == "V1":
+            reason, w = inst.params
+            direct = instance_V1(ctx, w, reason)
+        else:
+            direct = _INSTANCE_BUILDERS[inst.family](ctx, *inst.params)
+        assert inst.poly == direct.poly
+        assert inst.poly.coeff(lead) == c_lead != 0
+        assert m.try_div(lead) is not None
+        if inst.family == "R3":
+            r3.setdefault(lead, set()).add(inst.poly)
+    # one R3 leading monomial, so one table key but for the ring, has a
+    # different polynomial at n = 3 and n = 4
+    assert len(r3[Monomial.from_pairs([(exc((1, 2, 3)), 2)])]) == 2
+    relation_step.cache_clear()
+    for ctx, m, step in seen:
+        assert Normalizer(ctx).find_step(m) == step
