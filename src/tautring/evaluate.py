@@ -255,6 +255,13 @@ class Evaluator:
     Only representatives are rewritten and contracted; each value is
     memoized under the monomial asked for, under its representative and
     under every monomial its rewrite graph passes through.
+
+    ``orbit_values`` is the fill table of :func:`~tautring.pairing.pairing_matrix`:
+    it maps the packed key (:func:`~tautring.core.packed_keys`) of every
+    product the fill has valued, and of every relabelling of it, to its
+    value.  It lives as long as the evaluator, so a run that fills several
+    degrees with one evaluator values each orbit once; a degree's products
+    whose orbit an earlier degree valued are lookups, with no product built.
     """
 
     def __init__(self, ctx: RingContext, table: Optional[KappaTable] = None,
@@ -267,6 +274,7 @@ class Evaluator:
             )
         self.normalizer = normalizer if normalizer is not None else Normalizer(ctx)
         self._memo: dict[Monomial, Fraction] = {}
+        self.orbit_values: dict[int, Fraction] = {}
 
     def evaluate_monomial(self, m: Monomial) -> Fraction:
         """Value of a top-degree monomial (exceptional factors allowed)."""

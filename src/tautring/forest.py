@@ -350,9 +350,10 @@ def laminar_families(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
-def admissible_dparts(ctx: RingContext) -> list[ExceptionalForest]:
+@functools.lru_cache(maxsize=None)
+def admissible_dparts(ctx: RingContext) -> tuple[ExceptionalForest, ...]:
     """All forests with exponents inside the standard bounds, deterministically
-    ordered by their exceptional-part layout key."""
+    ordered by their exceptional-part layout key; built once per ring."""
     out: list[ExceptionalForest] = []
     for family in laminar_families(ctx.n):
         base = build_forest(ctx, Monomial.from_pairs((exc(s), 1) for s in family))
@@ -363,7 +364,7 @@ def admissible_dparts(ctx: RingContext) -> list[ExceptionalForest]:
         for exps in itertools.product(*(range(1, b + 1) for b in bounds)):
             out.append(ExceptionalForest(tuple(zip(sets, exps)), base.edges, base.roots))
     out.sort(key=lambda f: dpart_sort_key(dpart_monomial(f)))
-    return out
+    return tuple(out)
 
 
 def dpart_monomial(forest: ExceptionalForest) -> Monomial:

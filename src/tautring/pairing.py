@@ -21,7 +21,11 @@ it, so the key of an entry's product is the row key plus the column key,
 with no carry.  The first product of each orbit met in row-major order is
 built and valued, and its value is stored under the key of every
 relabelling of it; every other entry is a lookup of its key, and its
-product is never built.  The process pool ships those first products.
+product is never built.  The table of keys is the evaluator's
+(:attr:`~tautring.evaluate.Evaluator.orbit_values`), so a run that fills
+several degrees with one evaluator, as ``verify`` does, values each orbit
+once in all of them.  The process pool ships those first products and keeps
+a table of its own per degree.
 
 The conjectured structure is then visible directly:
 
@@ -30,8 +34,9 @@ The conjectured structure is then visible directly:
   (:func:`verify_triangular`); the rule reads only what a block's rows, and
   a block's columns, have in common, so it is checked once per block pair;
 * each diagonal block is a single rational constant times the pairing
-  matrix of the exceptional-free theory on the block's marking set
-  (:func:`block_constant_reports`);
+  matrix of the exceptional-free theory on the block's marking set ``S``,
+  which is valued on the ring of ``|S|`` markings, once per orbit of the
+  symmetric group on them (:func:`block_constant_reports`);
 * consequently the rank splits as the sum of the diagonal block ranks
   (:func:`conjecture_check`).
 
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Monomial, RingContext, packed_keys
+from .core import Monomial, RingContext, packed_keys, relabel_monomial
 from .evaluate import Evaluator, KappaTable, evaluate_free
 from .forest import (
     ExceptionalForest,
@@ -159,26 +164,30 @@ def pairing_matrix(ctx: RingContext, k: int, evaluator: Optional[Evaluator] = No
     rows, cols, blocks = _layout(ctx, k)
     if evaluator is None:
         evaluator = Evaluator(ctx)
+    elif evaluator.ctx != ctx:
+        raise ValueError(f"evaluator is for {evaluator.ctx}, the matrix for {ctx}")
     if parallelism > 1 and rows and cols:
         entries = _parallel_entries(ctx, evaluator, rows, cols, parallelism)
     else:
-        entries = _orbit_fill(ctx, rows, cols, evaluator.evaluate_monomial)
+        entries = _orbit_fill(ctx, rows, cols, evaluator.evaluate_monomial,
+                              evaluator.orbit_values)
     return PairingMatrix(ctx, k, rows, cols, entries, blocks)
 
 
-def _orbit_fill(ctx, rows, cols, value):
+def _orbit_fill(ctx, rows, cols, value, memo):
     """The entries ``value(r * c)``, with ``value`` called once per S_n orbit.
 
-    ``value`` is called on the first product of each orbit in row-major
-    order, and its result is stored under the packed key of every
-    relabelling of that product.  Every other entry is read off the key
-    ``key(r) + key(c)`` of its product, which is never built, so it gets
-    the result for the first product of its orbit: ``value(r * c)`` itself
-    when ``value`` is constant on orbits, as the socle value is.
+    ``memo`` maps packed keys to results.  ``value`` is called on the first
+    product in row-major order whose key ``memo`` lacks, and its result is
+    stored under the packed key of every relabelling of that product.  Every
+    other entry is read off the key ``key(r) + key(c)`` of its product,
+    which is never built, so it gets the result for the first product of
+    its orbit, in this call or an earlier one with the same ``memo``:
+    ``value(r * c)`` itself when ``value`` is constant on orbits, as the
+    socle value is.
     """
     keys = packed_keys(ctx)
     col_keys = [keys.key(c.monomial) for c in cols]
-    memo = {}
     out = []
     for r in rows:
         rk = keys.key(r.monomial)
@@ -225,22 +234,6 @@ def dual_matrix(matrix: PairingMatrix) -> PairingMatrix:
     return PairingMatrix(ctx, k, rows, cols, entries, blocks)
 
 
-def all_degree_matrices(ctx: RingContext, fill):
-    """The pairing matrix of every degree, in the order ``0, top, 1, top - 1, ...``.
-
-    ``fill(k)`` builds the matrix of degree ``k`` for ``k <= top / 2``; each
-    other degree is its :func:`dual_matrix`.  A filled matrix is dropped once
-    its dual has been handed out.
-    """
-    top = ctx.top_degree
-    for k in range(top // 2 + 1):
-        matrix = fill(k)
-        yield matrix
-        if 2 * k != top:
-            yield dual_matrix(matrix)
-        del matrix
-
-
 def _parallel_entries(ctx, evaluator, rows, cols, parallelism):
     # workers evaluate the first product of each S_n orbit, shipped as text
     unique = []
@@ -249,7 +242,7 @@ def _parallel_entries(ctx, evaluator, rows, cols, parallelism):
         unique.append(repr(m))
         return unique[-1]
 
-    texts = _orbit_fill(ctx, rows, cols, ship)
+    texts = _orbit_fill(ctx, rows, cols, ship, {})
     n_chunks = min(len(unique), parallelism * 4)
     size = -(-len(unique) // n_chunks)
     chunks = [unique[i:i + size] for i in range(0, len(unique), size)]
@@ -345,43 +338,71 @@ def _block_report(ctx: RingContext, block: PairingBlock, constant: Optional[Frac
     )
 
 
+def _proportional(sub, ref, constant: Fraction) -> bool:
+    """Whether ``sub`` is ``constant`` times ``ref``, entry by entry.
+
+    The reference memo holds one value object per orbit, shared by every
+    entry of the orbit and kept alive by ``ref``, so each nonzero object is
+    scaled once, looked up by identity, not once per entry; a zero
+    reference entry asks for a zero entry.
+    """
+    scaled = {}
+    for xs, vs in zip(sub, ref):
+        for x, v in zip(xs, vs):
+            if v:
+                w = scaled.get(id(v))
+                if w is None:
+                    w = scaled[id(v)] = constant * v
+                if x != w:
+                    return False
+            elif x:
+                return False
+    return True
+
+
 def _compare_block(matrix: PairingMatrix, block: PairingBlock, table: KappaTable,
                    reference: dict) -> BlockConstantReport:
     ctx = matrix.ctx
-    keys = packed_keys(ctx)
-    S = block.S
-    sub = matrix.submatrix(block)
-    brows = matrix.rows[block.row_start:block.row_stop]
-    bcols = matrix.cols[block.col_start:block.col_stop]
-    col_keys = [keys.key(c.apart) for c in bcols]
+    s = len(block.S)
+    ref_ctx = RingContext(ctx.g, s)
+    keys = packed_keys(ref_ctx)
+    phi = {i: t for t, i in enumerate(block.S, start=1)}
+    brows = [relabel_monomial(r.apart, phi) for r in matrix.rows[block.row_start:block.row_stop]]
+    bcols = [relabel_monomial(c.apart, phi) for c in matrix.cols[block.col_start:block.col_stop]]
+    row_keys = [keys.key(a) for a in brows]
+    col_keys = [keys.key(a) for a in bcols]
     ref = []
-    for r in brows:
-        rk = keys.key(r.apart)
+    for a, rk in zip(brows, row_keys):
         ref_row = []
-        for c, ck in zip(bcols, col_keys):
-            key = (S, rk + ck)
-            v = reference.get(key)
+        for b, ck in zip(bcols, col_keys):
+            v = reference.get((s, rk + ck))
             if v is None:
-                v = reference[key] = evaluate_free(ctx, table, r.apart * c.apart, markings=S)
+                m = a * b
+                v = evaluate_free(ref_ctx, table, m)
+                for key in keys.orbit_keys(m):
+                    reference[(s, key)] = v
             ref_row.append(v)
         ref.append(ref_row)
-    constant = None
-    for i in range(len(brows)):
-        for j in range(len(bcols)):
-            if ref[i][j]:
-                constant = sub[i][j] / ref[i][j]
-                break
-        if constant is not None:
-            break
+    sub = matrix.submatrix(block)
+    constant = next(
+        (x / v for xs, vs in zip(sub, ref) for x, v in zip(xs, vs) if v), None
+    )
     if constant is None:
-        proportional = all(not v for row in sub for v in row)
+        proportional = not any(x for xs in sub for x in xs)
+        reference_rank = 0
     else:
-        proportional = all(
-            sub[i][j] == constant * ref[i][j]
-            for i in range(len(brows))
-            for j in range(len(bcols))
-        )
-    return _block_report(ctx, block, constant, proportional, exact_rank(sub), exact_rank(ref))
+        proportional = _proportional(sub, ref, constant)
+        # the same row and column keys, in any order, give the same matrix up to
+        # permuting rows and columns
+        rank_key = (s, tuple(sorted(row_keys)), tuple(sorted(col_keys)))
+        reference_rank = reference.get(rank_key)
+        if reference_rank is None:
+            reference_rank = reference[rank_key] = exact_rank(ref)
+    if not proportional:
+        block_rank = exact_rank(sub)
+    else:
+        block_rank = reference_rank if constant else 0
+    return _block_report(ctx, block, constant, proportional, block_rank, reference_rank)
 
 
 def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = None,
@@ -393,12 +414,28 @@ def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = 
     is expected to equal a single constant times the reference, which
     ``proportional`` reports.
 
-    ``reference`` memoizes those evaluations by ``S`` and the packed key of
-    ``a * a'`` (:class:`~tautring.core.PackedKeys`), the sum of the keys of
-    ``a`` and ``a'``; the product is built only on a miss.  Pass one dict to
-    every call of a run with the same ring and table, so that the degrees
-    sharing keys (``k`` and ``top - k`` share all of them) evaluate each key
-    once.
+    The reference is valued on the ring of ``s = |S|`` markings: ``a * a'``
+    becomes ``phi(a) * phi(a')``, where ``phi`` is the order-preserving
+    bijection from ``S`` onto ``1..s``.  :func:`evaluate_free` reads only
+    the genus and the number of markings, and ``phi`` keeps every step of
+    the contraction (descending order, the smallest partner as anchor), so
+    the value is the same.  ``reference`` memoizes it under ``(s, key)``,
+    ``key`` the packed key of ``phi(a) * phi(a')`` in that ring
+    (:class:`~tautring.core.PackedKeys`), the sum of the keys of
+    ``phi(a)`` and ``phi(a')``; on a miss the product is built, valued, and
+    stored under the key of every relabelling of it, since relabelling the
+    markings fixes the value.  So the blocks of every marking set of one
+    size, in every degree, share one value per orbit of ``S_s``.
+
+    Ranks are read off where a theorem gives them.  The reference of a
+    block is the matrix of its row and column keys, so blocks with the same
+    ``s`` and the same keys, in any order, have the same reference rank, and
+    ``reference`` holds it under ``(s, row keys, column keys)``, sorted.  A
+    proportional block with constant ``c`` is ``c`` times its reference, so
+    its rank is the reference rank when ``c != 0`` and 0 otherwise; only a
+    block that is not proportional is ranked itself.
+
+    Pass one dict to every call of a run with the same genus and table.
     """
     if table is None:
         table = KappaTable.builtin(matrix.ctx.g)
@@ -491,10 +528,11 @@ def dual_conjecture_check(matrix: PairingMatrix, report: ConjectureReport,
 
 def all_degree_reports(ctx: RingContext, fill, table: Optional[KappaTable] = None,
                        reference: Optional[dict] = None):
-    """The :func:`conjecture_check` of every degree, in the order of
-    :func:`all_degree_matrices`: degree ``k <= top / 2`` is filled by
+    """The :func:`conjecture_check` of every degree, in the order
+    ``0, top, 1, top - 1, ...``: degree ``k <= top / 2`` is filled by
     ``fill(k)`` and checked, and degree ``top - k`` is read off it by
-    :func:`dual_conjecture_check`."""
+    :func:`dual_conjecture_check`.  A filled matrix is dropped once the
+    report of its dual has been handed out."""
     if reference is None:
         reference = {}
     top = ctx.top_degree
@@ -552,16 +590,19 @@ def is_gorenstein(dims: Sequence[int]) -> bool:
 def gorenstein_dims(ctx: RingContext, evaluator: Optional[Evaluator] = None) -> tuple[int, ...]:
     """Rank of the pairing matrix in every degree.
 
+    Only the degrees ``k <= top / 2`` are filled and ranked; the rank of
+    degree ``top - k`` is read off degree ``k``, since ``rank M^T = rank M``.
     Raises :class:`GorensteinSymmetryError` unless :func:`is_gorenstein`
     holds for the sequence.
     """
     if evaluator is None:
         evaluator = Evaluator(ctx)
-    ranks = {
-        m.k: m.rank()
-        for m in all_degree_matrices(ctx, lambda k: pairing_matrix(ctx, k, evaluator))
-    }
-    dims = tuple(ranks[k] for k in range(ctx.top_degree + 1))
+    top = ctx.top_degree
+    ranks = [0] * (top + 1)
+    for k in range(top // 2 + 1):
+        # degree top - k is the transpose of degree k (dual_matrix)
+        ranks[k] = ranks[top - k] = pairing_matrix(ctx, k, evaluator).rank()
+    dims = tuple(ranks)
     if not is_gorenstein(dims):
         raise GorensteinSymmetryError(
             f"rank sequence {dims} is not palindromic with 1 at both ends"

@@ -12,18 +12,19 @@ from tautring import (
     RingContext,
     check_duality_classes,
     conjecture_check,
+    evaluate_free,
     exc,
     gorenstein_dims,
     pairing_matrix,
     parse_monomial,
     verify_triangular,
 )
+from tautring.core import packed_keys, relabel_monomial
 from tautring.linalg import exact_det, exact_rank
 from tautring.forest import dpart_monomial, dual_forest
 from tautring import pairing as pairing_module
 from tautring.pairing import (
     PairingMatrix,
-    all_degree_matrices,
     all_degree_reports,
     block_constant_reports,
     dual_conjecture_check,
@@ -143,7 +144,15 @@ def test_square_full_rank_iff_nonzero_determinant():
 
 @pytest.mark.parametrize("g,n", [(g, n) for g in (2, 3) for n in (1, 2, 3, 4)])
 def test_exact_rank_matches_bareiss_on_verify_matrices(g, n, monkeypatch):
-    """Every full, block and reference matrix that verify ranks."""
+    """Every matrix that the reports of every degree rank, and every rank
+    and reference entry that they read off instead.
+
+    Each block rank is the Bareiss rank of the block, and each reference
+    rank the Bareiss rank of the reference valued directly on the block's
+    marking set S, whose entries the run's reference memo holds under the
+    key of the product relabelled onto 1..|S|.
+    """
+    ctx, ev, ms = get_matrices(g, n)
     ranked = []
 
     def recording_rank(rows):
@@ -151,11 +160,34 @@ def test_exact_rank_matches_bareiss_on_verify_matrices(g, n, monkeypatch):
         return exact_rank(rows)
 
     monkeypatch.setattr(pairing_module, "exact_rank", recording_rank)
-    for m in get_matrices(g, n)[2]:
-        conjecture_check(m)
-    assert len(ranked) == sum(1 + 2 * len(m.blocks) for m in get_matrices(g, n)[2])
+    reference = {}
+    reports = list(all_degree_reports(ctx, ms.__getitem__, ev.table, reference))
+    monkeypatch.undo()
+    assert ranked
     for rows in ranked:
         assert exact_rank(rows) == _bareiss_rank(rows)
+    assert sorted(r.k for r in reports) == list(range(ctx.top_degree + 1))
+    direct = {}
+    for report in reports:
+        m = ms[report.k]
+        assert len(report.block_reports) == len(m.blocks)
+        for block, b in zip(m.blocks, report.block_reports):
+            assert b.block_rank == _bareiss_rank(m.submatrix(block))
+            S = block.S
+            phi = {i: t for t, i in enumerate(S, start=1)}
+            keys = packed_keys(RingContext(g, len(S)))
+            ref = []
+            for r in m.rows[block.row_start:block.row_stop]:
+                ref_row = []
+                for c in m.cols[block.col_start:block.col_stop]:
+                    prod = r.apart * c.apart
+                    if (S, prod) not in direct:
+                        direct[S, prod] = evaluate_free(ctx, ev.table, prod, markings=S)
+                    v = direct[S, prod]
+                    assert reference[len(S), keys.key(relabel_monomial(prod, phi))] == v
+                    ref_row.append(v)
+                ref.append(ref_row)
+            assert b.reference_rank == _bareiss_rank(ref)
 
 
 def test_exact_det():
@@ -358,7 +390,22 @@ def test_tampered_block_is_not_proportional():
     bad = with_entries(m, {(i, j): 2 * m.entries[i][j]})
     [report] = [r for r in block_constant_reports(bad, ev.table) if r.label == b.label]
     assert not report.proportional
+    # a block that is not proportional is ranked itself, not read off
+    assert report.block_rank == _bareiss_rank(bad.submatrix(b))
     assert not conjecture_check(bad, ev.table).ok
+
+
+def test_zeroed_block_is_proportional_with_constant_and_rank_zero():
+    # a zero block is 0 times its reference: proportional, and its rank is
+    # 0, not the reference rank
+    ctx, ev, ms = get_matrices(2, 3)
+    m = ms[1]
+    b = next(b for b in m.blocks if b.n_rows > 1 and b.n_cols > 1)
+    bad = with_entries(m, {(i, j): F(0) for i in range(b.row_start, b.row_stop)
+                           for j in range(b.col_start, b.col_stop)})
+    [report] = [r for r in block_constant_reports(bad, ev.table) if r.label == b.label]
+    assert report.proportional and report.constant == 0
+    assert report.block_rank == 0 < report.reference_rank
 
 
 def test_block_columns_use_dual_labels():
@@ -420,11 +467,9 @@ def test_dual_matrix_equals_filled_matrix(g, n):
         filled.append(k)
         return ms[k]
 
-    got = list(all_degree_matrices(ctx, fill))
+    got = list(all_degree_reports(ctx, fill, ev.table))
     assert filled == list(range(top // 2 + 1))
-    assert sorted(m.k for m in got) == list(range(top + 1))
-    for m in got:
-        _assert_same_matrix(m, ms[m.k])
+    assert [r.k for r in got] == [k for f in filled for k in dict.fromkeys((f, top - f))]
 
 
 @pytest.mark.parametrize("change", ["dropped", "added", "replaced"])
@@ -513,13 +558,72 @@ def test_gorenstein_dims_strict_passes():
 
 
 def test_gorenstein_dims_raises_on_asymmetric_ranks(monkeypatch):
+    # degree top - k takes the rank of degree k, so a wrong rank sequence
+    # is palindromic; this one fails by its ends, which are not 1
     ctx, ev, _ = get_matrices(3, 2)
-    monkeypatch.setattr(pairing_module.PairingMatrix, "rank", lambda self: self.k + 1)
+    monkeypatch.setattr(pairing_module.PairingMatrix, "rank", lambda self: self.k + 2)
     with pytest.raises(GorensteinSymmetryError):
         gorenstein_dims(ctx, ev)
 
 
+def test_gorenstein_dims_ranks_only_the_filled_degrees(monkeypatch):
+    ctx, ev, ms = get_matrices(2, 4)
+    ranked = []
+
+    def recording_rank(rows):
+        ranked.append(rows)
+        return exact_rank(rows)
+
+    monkeypatch.setattr(pairing_module, "exact_rank", recording_rank)
+    dims = gorenstein_dims(ctx)
+    assert len(ranked) == ctx.top_degree // 2 + 1
+    assert dims == tuple(exact_rank(m.entries) for m in ms)
+
+
 # -- the fill --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("g,n", [(2, 4), (3, 4)])
+def test_fill_values_each_orbit_once_per_run(g, n, monkeypatch):
+    """One evaluator fills every degree of a verify run: each S_n orbit of
+    the products of all filled degrees is valued once, and each entry is
+    the value a fresh evaluator gives its product."""
+    ctx = RingContext(g, n)
+    ev = Evaluator(ctx)
+    valued = []
+    evaluate_monomial = Evaluator.evaluate_monomial
+
+    def recording(self, m):
+        valued.append(m)
+        return evaluate_monomial(self, m)
+
+    monkeypatch.setattr(Evaluator, "evaluate_monomial", recording)
+    filled = []
+
+    def fill(k):
+        filled.append(pairing_matrix(ctx, k, ev))
+        return filled[-1]
+
+    list(all_degree_reports(ctx, fill, ev.table))
+    monkeypatch.undo()
+    assert [m.k for m in filled] == list(range(ctx.top_degree // 2 + 1))
+    keys = packed_keys(ctx)
+    orbits = {
+        min(keys.orbit_keys(r.monomial * c.monomial))
+        for m in filled for r in m.rows for c in m.cols
+    }
+    assert len(valued) == len(orbits)
+    assert {min(keys.orbit_keys(m)) for m in valued} == orbits
+    fresh = Evaluator(ctx)
+    for m in filled[1:]:
+        assert m.entries == tuple(
+            tuple(fresh.evaluate_monomial(r.monomial * c.monomial) for c in m.cols) for r in m.rows
+        )
+
+
+def test_pairing_matrix_rejects_an_evaluator_of_another_ring():
+    with pytest.raises(ValueError):
+        pairing_matrix(RingContext(2, 3), 1, Evaluator(RingContext(2, 4)))
 
 
 def test_parallel_matches_serial():
