@@ -8,8 +8,8 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage or
 configuration problems, 3 the rewriter gave up (step budget or cycle).
 
 Output is deterministic byte for byte: JSON is emitted with sorted keys and
-carries no timing, and the multiprocess fill path reassembles results in
-index order.
+carries no timing, and the multiprocess fill path looks each entry up by the
+text of the first product of its orbit, whichever worker valued it.
 """
 
 from __future__ import annotations

@@ -405,13 +405,6 @@ class Polynomial:
             out._terms = {m * m1: c1 * c for m1, c1 in self._terms.items()}
         return out
 
-    def homogeneous_degree(self) -> int:
-        """Common degree of all terms; raises on mixed degrees or zero."""
-        degs = {m.degree for m in self._terms}
-        if len(degs) != 1:
-            raise ValueError(f"polynomial is not homogeneous (degrees {sorted(degs)})")
-        return degs.pop()
-
     def __repr__(self) -> str:
         from .grammar import format_polynomial
 

@@ -224,10 +224,6 @@ class StandardMonomial:
     def apart(self) -> Monomial:
         return self.monomial.a_part()
 
-    @functools.cached_property
-    def dpart_key(self) -> tuple:
-        return dpart_sort_key(self.monomial)
-
 
 def filtration_level(apart_degree: int, forest: ExceptionalForest) -> int:
     """Filtration level ``p = deg a(v) + sum of root set sizes - #roots``."""
@@ -310,10 +306,6 @@ def standard_info(ctx: RingContext, m: Monomial) -> Union[StandardMonomial, None
     if not apart_in_cluster_form(apart):
         return None
     return StandardMonomial(m, forest, S, filtration_level(apart.degree, forest))
-
-
-def is_standard(ctx: RingContext, m: Monomial) -> bool:
-    return standard_info(ctx, m) is not None
 
 
 # ---------------------------------------------------------------------------

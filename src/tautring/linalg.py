@@ -1,4 +1,4 @@
-"""Exact rank and determinant of rational matrices.
+"""Exact rank of rational matrices.
 
 Rank is an incremental row echelon over the integers on sparse rows.  Each
 row is read once as ``{col: int}``: its nonzero entries, scaled by the lcm
@@ -58,24 +58,3 @@ def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
             pivots[min(vec)] = vec
     return len(pivots)
 
-
-def exact_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    M = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if M[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for i in range(c + 1, n):
-            f = M[i][c] * inv
-            if f:
-                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
-    return det

@@ -35,8 +35,9 @@ The conjectured structure is then visible directly:
   a block's columns, have in common, so it is checked once per block pair;
 * each diagonal block is a single rational constant times the pairing
   matrix of the exceptional-free theory on the block's marking set ``S``,
-  which is valued on the ring of ``|S|`` markings, once per orbit of the
-  symmetric group on them (:func:`block_constant_reports`);
+  which is valued on the ring of ``s = |S|`` markings by the same
+  orbit-keyed fill, once per orbit of ``S_s``; a run's ``reference`` dict
+  maps ``s`` to that fill table (:func:`block_constant_reports`);
 * consequently the rank splits as the sum of the diagonal block ranks
   (:func:`conjecture_check`).
 
@@ -68,15 +69,6 @@ from .forest import (
     marking_set,
 )
 from .linalg import exact_rank
-
-
-class GorensteinSymmetryError(RuntimeError):
-    """The rank sequence is not palindromic with 1 at both ends."""
-
-
-def dual_label(sm: StandardMonomial) -> Monomial:
-    """Exceptional part of the dual class of a standard monomial."""
-    return dpart_monomial(dual_forest(sm.forest))
 
 
 @dataclass(frozen=True)
@@ -169,13 +161,17 @@ def pairing_matrix(ctx: RingContext, k: int, evaluator: Optional[Evaluator] = No
     if parallelism > 1 and rows and cols:
         entries = _parallel_entries(ctx, evaluator, rows, cols, parallelism)
     else:
-        entries = _orbit_fill(ctx, rows, cols, evaluator.evaluate_monomial,
-                              evaluator.orbit_values)
+        entries, _, _ = _orbit_fill(
+            packed_keys(ctx), [r.monomial for r in rows], [c.monomial for c in cols],
+            evaluator.evaluate_monomial, evaluator.orbit_values,
+        )
     return PairingMatrix(ctx, k, rows, cols, entries, blocks)
 
 
-def _orbit_fill(ctx, rows, cols, value, memo):
-    """The entries ``value(r * c)``, with ``value`` called once per S_n orbit.
+def _orbit_fill(keys, rows, cols, value, memo):
+    """The entries ``value(r * c)`` for the monomials ``rows`` and ``cols``,
+    with ``value`` called once per orbit of the symmetric group on the
+    markings of the ring of ``keys`` (a :class:`~tautring.core.PackedKeys`).
 
     ``memo`` maps packed keys to results.  ``value`` is called on the first
     product in row-major order whose key ``memo`` lacks, and its result is
@@ -184,24 +180,24 @@ def _orbit_fill(ctx, rows, cols, value, memo):
     which is never built, so it gets the result for the first product of
     its orbit, in this call or an earlier one with the same ``memo``:
     ``value(r * c)`` itself when ``value`` is constant on orbits, as the
-    socle value is.
+    socle value is.  Returns the entries, row by row, and the keys of the
+    rows and of the columns.
     """
-    keys = packed_keys(ctx)
-    col_keys = [keys.key(c.monomial) for c in cols]
+    row_keys = [keys.key(r) for r in rows]
+    col_keys = [keys.key(c) for c in cols]
     out = []
-    for r in rows:
-        rk = keys.key(r.monomial)
+    for r, rk in zip(rows, row_keys):
         row = []
         for c, ck in zip(cols, col_keys):
             v = memo.get(rk + ck)
             if v is None:
-                m = r.monomial * c.monomial
+                m = r * c
                 v = value(m)
                 for key in keys.orbit_keys(m):
                     memo[key] = v
             row.append(v)
         out.append(tuple(row))
-    return tuple(out)
+    return tuple(out), row_keys, col_keys
 
 
 def dual_matrix(matrix: PairingMatrix) -> PairingMatrix:
@@ -242,7 +238,8 @@ def _parallel_entries(ctx, evaluator, rows, cols, parallelism):
         unique.append(repr(m))
         return unique[-1]
 
-    texts = _orbit_fill(ctx, rows, cols, ship, {})
+    texts, _, _ = _orbit_fill(packed_keys(ctx), [r.monomial for r in rows],
+                              [c.monomial for c in cols], ship, {})
     n_chunks = min(len(unique), parallelism * 4)
     size = -(-len(unique) // n_chunks)
     chunks = [unique[i:i + size] for i in range(0, len(unique), size)]
@@ -365,24 +362,13 @@ def _compare_block(matrix: PairingMatrix, block: PairingBlock, table: KappaTable
     ctx = matrix.ctx
     s = len(block.S)
     ref_ctx = RingContext(ctx.g, s)
-    keys = packed_keys(ref_ctx)
     phi = {i: t for t, i in enumerate(block.S, start=1)}
     brows = [relabel_monomial(r.apart, phi) for r in matrix.rows[block.row_start:block.row_stop]]
     bcols = [relabel_monomial(c.apart, phi) for c in matrix.cols[block.col_start:block.col_stop]]
-    row_keys = [keys.key(a) for a in brows]
-    col_keys = [keys.key(a) for a in bcols]
-    ref = []
-    for a, rk in zip(brows, row_keys):
-        ref_row = []
-        for b, ck in zip(bcols, col_keys):
-            v = reference.get((s, rk + ck))
-            if v is None:
-                m = a * b
-                v = evaluate_free(ref_ctx, table, m)
-                for key in keys.orbit_keys(m):
-                    reference[(s, key)] = v
-            ref_row.append(v)
-        ref.append(ref_row)
+    ref, row_keys, col_keys = _orbit_fill(
+        packed_keys(ref_ctx), brows, bcols,
+        lambda m: evaluate_free(ref_ctx, table, m), reference.setdefault(s, {}),
+    )
     sub = matrix.submatrix(block)
     constant = next(
         (x / v for xs, vs in zip(sub, ref) for x, v in zip(xs, vs) if v), None
@@ -419,12 +405,13 @@ def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = 
     bijection from ``S`` onto ``1..s``.  :func:`evaluate_free` reads only
     the genus and the number of markings, and ``phi`` keeps every step of
     the contraction (descending order, the smallest partner as anchor), so
-    the value is the same.  ``reference`` memoizes it under ``(s, key)``,
-    ``key`` the packed key of ``phi(a) * phi(a')`` in that ring
-    (:class:`~tautring.core.PackedKeys`), the sum of the keys of
-    ``phi(a)`` and ``phi(a')``; on a miss the product is built, valued, and
-    stored under the key of every relabelling of it, since relabelling the
-    markings fixes the value.  So the blocks of every marking set of one
+    the value is the same.  The reference is filled as the pairing matrix
+    is, by the same orbit-keyed fill on that ring: ``reference[s]`` is the
+    fill table of ``S_s``, which maps the packed key of ``phi(a) * phi(a')``
+    (:class:`~tautring.core.PackedKeys`), the sum of the keys of ``phi(a)``
+    and ``phi(a')``, to its value.  On a miss the product is built, valued,
+    and stored under the key of every relabelling of it, since relabelling
+    the markings fixes the value.  So the blocks of every marking set of one
     size, in every degree, share one value per orbit of ``S_s``.
 
     Ranks are read off where a theorem gives them.  The reference of a
@@ -585,26 +572,3 @@ def check_duality_classes(ctx: RingContext, k: int) -> list[tuple]:
 def is_gorenstein(dims: Sequence[int]) -> bool:
     """Whether a rank sequence is palindromic with 1 in degrees 0 and top."""
     return dims == dims[::-1] and dims[0] == dims[-1] == 1
-
-
-def gorenstein_dims(ctx: RingContext, evaluator: Optional[Evaluator] = None) -> tuple[int, ...]:
-    """Rank of the pairing matrix in every degree.
-
-    Only the degrees ``k <= top / 2`` are filled and ranked; the rank of
-    degree ``top - k`` is read off degree ``k``, since ``rank M^T = rank M``.
-    Raises :class:`GorensteinSymmetryError` unless :func:`is_gorenstein`
-    holds for the sequence.
-    """
-    if evaluator is None:
-        evaluator = Evaluator(ctx)
-    top = ctx.top_degree
-    ranks = [0] * (top + 1)
-    for k in range(top // 2 + 1):
-        # degree top - k is the transpose of degree k (dual_matrix)
-        ranks[k] = ranks[top - k] = pairing_matrix(ctx, k, evaluator).rank()
-    dims = tuple(ranks)
-    if not is_gorenstein(dims):
-        raise GorensteinSymmetryError(
-            f"rank sequence {dims} is not palindromic with 1 at both ends"
-        )
-    return dims

@@ -32,7 +32,6 @@ from tautring import (
     socle_monomial,
     verify_triangular,
 )
-from tautring.linalg import exact_det
 from tautring.pairing import block_constant_reports
 
 from conftest import get_matrices

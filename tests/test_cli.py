@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +186,18 @@ def test_verify_fails_on_duality_violation(capsys, monkeypatch, fmt):
         assert [c["ok"] for c in json.loads(out)["checks"]] == [True, False, True, True]
     else:
         assert out.splitlines()[-1] == "FAIL"
+
+
+def test_verify_fails_on_ranks_that_are_not_gorenstein(capsys, monkeypatch):
+    # degree top - k takes the rank of degree k, so a wrong rank sequence
+    # is palindromic; this one fails by its ends, which are not 1
+    monkeypatch.setattr("tautring.pairing.PairingMatrix.rank", lambda self: self.k + 2)
+    rc, out, _ = run(capsys, ["verify", "--g", "3", "--n", "2", "--format", "json"])
+    assert rc == 1
+    data = json.loads(out)
+    assert data["dims"] == [2, 3, 3, 2]
+    assert data["dims_palindromic"] is False
+    assert data["ok"] is False
 
 
 # sha256 of verify stdout, taken with every degree filled directly: reading
@@ -381,3 +395,14 @@ def test_cache_env_var_is_ignored(capsys, tmp_path, monkeypatch):
     rc2, out2, _ = run(capsys, argv)
     assert (rc1, rc2) == (0, 0) and out1 == out2
     assert not cache.exists()
+
+
+# -- documentation -------------------------------------------------------------
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"^```python\n(.*?)^```", section, re.M | re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "[1, 7, 7, 1]"

@@ -116,15 +116,6 @@ def test_polynomial_rejects_floats():
         Polynomial.monomial(UNIT, 0.5)
 
 
-def test_polynomial_homogeneous_degree():
-    p = Polynomial.monomial(Monomial.from_symbols(point_k(1)))
-    assert p.homogeneous_degree() == 1
-    with pytest.raises(ValueError):
-        (p + Polynomial.one()).homogeneous_degree()
-    with pytest.raises(ValueError):
-        Polynomial.zero().homogeneous_degree()
-
-
 def test_mul_monomial():
     p = Polynomial.one() + Polynomial.monomial(Monomial.from_symbols(point_k(1)))
     shifted = p.mul_monomial(Monomial.from_symbols(point_k(2)), -1)

@@ -17,6 +17,7 @@ from tautring import (
     Polynomial,
     RingContext,
     diag,
+    dual_forest,
     enumerate_basis,
     evaluate_free,
     exc,
@@ -27,7 +28,7 @@ from tautring import (
 )
 from tautring.core import canonical_monomial, packed_keys, relabel_monomial
 from tautring.evaluate import socle_raw_value
-from tautring.pairing import dual_label
+from tautring.forest import dpart_monomial
 
 from conftest import oracle_normal_form
 
@@ -273,7 +274,7 @@ def _sample_products(ctx, count, seed, exceptional=False):
         if exceptional:
             if not r.dpart.pairs:
                 continue
-            cols = [c for c in cols if dual_label(c) == r.dpart]
+            cols = [c for c in cols if dpart_monomial(dual_forest(c.forest)) == r.dpart]
             if not cols:
                 continue
         out.append(r.monomial * rng.choice(cols).monomial)

@@ -7,20 +7,18 @@ import pytest
 
 from tautring import (
     Evaluator,
-    GorensteinSymmetryError,
     Monomial,
     RingContext,
     check_duality_classes,
     conjecture_check,
     evaluate_free,
     exc,
-    gorenstein_dims,
     pairing_matrix,
     parse_monomial,
     verify_triangular,
 )
-from tautring.core import packed_keys, relabel_monomial
-from tautring.linalg import exact_det, exact_rank
+from tautring.core import canonical_monomial, packed_keys, relabel_monomial
+from tautring.linalg import exact_rank
 from tautring.forest import dpart_monomial, dual_forest
 from tautring import pairing as pairing_module
 from tautring.pairing import (
@@ -28,8 +26,8 @@ from tautring.pairing import (
     all_degree_reports,
     block_constant_reports,
     dual_conjecture_check,
-    dual_label,
     dual_matrix,
+    is_gorenstein,
 )
 
 from conftest import forced_positions, forced_zero, get_matrices, with_entries
@@ -93,6 +91,29 @@ def _bareiss_rank(rows):
     return rank
 
 
+def _exact_det(rows):
+    """Reference determinant: Gaussian elimination over the rationals."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant needs a square matrix")
+    M = [[F(x) for x in row] for row in rows]
+    det = F(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if M[i][c]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            M[c], M[pivot] = M[pivot], M[c]
+            det = -det
+        det *= M[c][c]
+        inv = 1 / M[c][c]
+        for i in range(c + 1, n):
+            f = M[i][c] * inv
+            if f:
+                M[i] = [a - f * b for a, b in zip(M[i], M[c])]
+    return det
+
+
 def _random_sparse_matrix(rng, n_rows, n_cols):
     """Sparse rational matrix with zero rows, zero columns and appended
     rational combinations of earlier rows, rows shuffled; numerators up to
@@ -137,7 +158,7 @@ def test_square_full_rank_iff_nonzero_determinant():
         rows = _random_sparse_matrix(rng, rng.randint(1, size), size)
         rows = (rows + [[F(0)] * size] * size)[:size]
         full = exact_rank(rows) == size
-        assert full == (exact_det(rows) != 0)
+        assert full == (_exact_det(rows) != 0)
         seen.add(full)
     assert seen == {True, False}
 
@@ -184,16 +205,16 @@ def test_exact_rank_matches_bareiss_on_verify_matrices(g, n, monkeypatch):
                     if (S, prod) not in direct:
                         direct[S, prod] = evaluate_free(ctx, ev.table, prod, markings=S)
                     v = direct[S, prod]
-                    assert reference[len(S), keys.key(relabel_monomial(prod, phi))] == v
+                    assert reference[len(S)][keys.key(relabel_monomial(prod, phi))] == v
                     ref_row.append(v)
                 ref.append(ref_row)
             assert b.reference_rank == _bareiss_rank(ref)
 
 
 def test_exact_det():
-    assert exact_det([[F(1, 2), F(0)], [F(0), F(1, 3)]]) == F(1, 6)
-    assert exact_det([[F(1), F(2)], [F(2), F(4)]]) == 0
-    assert exact_det([[F(3)]]) == 3
+    assert _exact_det([[F(1, 2), F(0)], [F(0), F(1, 3)]]) == F(1, 6)
+    assert _exact_det([[F(1), F(2)], [F(2), F(4)]]) == 0
+    assert _exact_det([[F(3)]]) == 3
 
 
 # -- frozen fixtures ------------------------------------------------------------
@@ -212,7 +233,7 @@ def test_g2n2_degree1_matrix():
         (F(1, 4), F(1, 4), F(-1, 4)),
     )
     assert m.rank() == 3
-    assert exact_det(m.entries) == F(1, 8)
+    assert _exact_det(m.entries) == F(1, 8)
 
 
 def test_g3n1_degree1_matrix():
@@ -237,7 +258,6 @@ DIMS = {
 def test_rank_sequences_frozen(g, n):
     ctx, ev, ms = get_matrices(g, n)
     assert tuple(m.rank() for m in ms) == DIMS[(g, n)]
-    assert gorenstein_dims(ctx, ev) == DIMS[(g, n)]
 
 
 def test_pairing_is_symmetric_between_complementary_degrees():
@@ -422,7 +442,7 @@ def test_block_columns_use_dual_labels():
                     for r in m.rows[block.row_start:block.row_stop]:
                         assert r.dpart == block.label
                     for c in m.cols[block.col_start:block.col_stop]:
-                        assert dual_label(c) == block.label
+                        assert dpart_monomial(dual_forest(c.forest)) == block.label
                 assert (row_stop, col_stop) == (len(m.rows), len(m.cols))
 
 
@@ -552,32 +572,13 @@ def test_duality_classes_materialized():
 # -- Gorenstein rank symmetry -------------------------------------------------------------
 
 
-def test_gorenstein_dims_strict_passes():
-    ctx, ev, _ = get_matrices(3, 2)
-    assert gorenstein_dims(ctx, ev) == (1, 4, 4, 1)
-
-
-def test_gorenstein_dims_raises_on_asymmetric_ranks(monkeypatch):
-    # degree top - k takes the rank of degree k, so a wrong rank sequence
-    # is palindromic; this one fails by its ends, which are not 1
-    ctx, ev, _ = get_matrices(3, 2)
-    monkeypatch.setattr(pairing_module.PairingMatrix, "rank", lambda self: self.k + 2)
-    with pytest.raises(GorensteinSymmetryError):
-        gorenstein_dims(ctx, ev)
-
-
-def test_gorenstein_dims_ranks_only_the_filled_degrees(monkeypatch):
-    ctx, ev, ms = get_matrices(2, 4)
-    ranked = []
-
-    def recording_rank(rows):
-        ranked.append(rows)
-        return exact_rank(rows)
-
-    monkeypatch.setattr(pairing_module, "exact_rank", recording_rank)
-    dims = gorenstein_dims(ctx)
-    assert len(ranked) == ctx.top_degree // 2 + 1
-    assert dims == tuple(exact_rank(m.entries) for m in ms)
+@pytest.mark.parametrize("dims,expected", [
+    ((1, 4, 4, 1), True),
+    ((2, 3, 3, 2), False),
+    ((1, 2, 3), False),
+])
+def test_is_gorenstein(dims, expected):
+    assert is_gorenstein(dims) is expected
 
 
 # -- the fill --------------------------------------------------------------------
@@ -619,6 +620,39 @@ def test_fill_values_each_orbit_once_per_run(g, n, monkeypatch):
         assert m.entries == tuple(
             tuple(fresh.evaluate_monomial(r.monomial * c.monomial) for c in m.cols) for r in m.rows
         )
+
+
+@pytest.mark.parametrize("g,n", [(2, 4), (3, 4)])
+def test_references_value_each_orbit_once_per_run(g, n, monkeypatch):
+    """The block references of every degree of a verify run value each
+    orbit of S_s, s = |S|, once, and each reference value read is the
+    value of its product over the block's marking set S."""
+    ctx, ev, ms = get_matrices(g, n)
+    valued = []
+
+    def recording(ref_ctx, table, m, **kwargs):
+        valued.append((ref_ctx.n, canonical_monomial(m, ref_ctx.n)))
+        return evaluate_free(ref_ctx, table, m, **kwargs)
+
+    monkeypatch.setattr(pairing_module, "evaluate_free", recording)
+    reference = {}
+    reports = list(all_degree_reports(ctx, ms.__getitem__, ev.table, reference))
+    monkeypatch.undo()
+    assert valued and len(set(valued)) == len(valued)
+    direct = {}
+    for report in reports:
+        m = ms[report.k]
+        for block in m.blocks:
+            S = block.S
+            phi = {i: t for t, i in enumerate(S, start=1)}
+            keys = packed_keys(RingContext(g, len(S)))
+            for r in m.rows[block.row_start:block.row_stop]:
+                for c in m.cols[block.col_start:block.col_stop]:
+                    prod = r.apart * c.apart
+                    if (S, prod) not in direct:
+                        direct[S, prod] = evaluate_free(ctx, ev.table, prod, markings=S)
+                    key = keys.key(relabel_monomial(prod, phi))
+                    assert reference[len(S)][key] == direct[S, prod]
 
 
 def test_pairing_matrix_rejects_an_evaluator_of_another_ring():
