@@ -442,84 +442,6 @@ def relabel_monomial(m: Monomial, sigma: Mapping[int, int]) -> Monomial:
     return Monomial.from_pairs((_symbol_image(s, sigma), e) for s, e in m.pairs)
 
 
-class _Images(dict):
-    """Symbol images under the relabelling that gives marking ``order[t]``
-    the label ``t + 1``, computed on first use."""
-
-    __slots__ = ("sigma",)
-
-    def __init__(self, order: tuple[int, ...]):
-        super().__init__()
-        self.sigma = {i: t for t, i in enumerate(order, start=1)}
-
-    def __missing__(self, s: Symbol) -> Symbol:
-        img = self[s] = _symbol_image(s, self.sigma)
-        return img
-
-
-# one table per marking order tried by canonical_monomial; entries depend
-# only on their keys, like the caches of the symbol factories
-_IMAGES: dict[tuple[int, ...], _Images] = {}
-
-
-def _pair_order(p: tuple[Symbol, int]) -> tuple:
-    return p[0].key
-
-
-def canonical_monomial(m: Monomial, n: int) -> Monomial:
-    """The representative of the orbit of ``m`` under relabelling markings 1..n.
-
-    Each marking gets an invariant signature: the exponent of its ``K``, the
-    sorted exponents of the diagonals at it, and the sorted ``(|I|, e)`` of
-    the ``D(I)^e`` that contain it.  A relabelling is *admissible* when it
-    gives the markings labels in signature order; the representative is the
-    relabelling of least :attr:`Monomial.sort_key` among the admissible ones,
-    so only permutations inside classes of equal signature are tried.
-    Relabelling ``m`` permutes the signatures along with it, so the
-    representative is the same for every monomial of the orbit, lies in
-    that orbit, and is its own representative.  Returns ``m`` itself when it
-    is the representative.
-    """
-    point = [0] * (n + 1)
-    diags: list[list[int]] = [[] for _ in range(n + 1)]
-    excs: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for s, e in m.pairs:
-        if s.kind == POINT:
-            point[s.params[0]] = e
-        elif s.kind == DIAG:
-            diags[s.params[0]].append(e)
-            diags[s.params[1]].append(e)
-        elif s.kind == EXC:
-            t = (len(s.params[0]), e)
-            for i in s.params[0]:
-                excs[i].append(t)
-    sig = [None] + [(point[i], sorted(diags[i]), sorted(excs[i])) for i in range(1, n + 1)]
-    order = sorted(range(1, n + 1), key=sig.__getitem__)
-    classes = []
-    start = 0
-    for t in range(1, n + 1):
-        if t == n or sig[order[t]] != sig[order[start]]:
-            cls = tuple(order[start:t])
-            # permuting markings that no factor touches changes nothing
-            if len(cls) > 1 and sig[cls[0]] != (0, [], []):
-                classes.append(itertools.permutations(cls))
-            else:
-                classes.append((cls,))
-            start = t
-    best = best_key = None
-    for arrangement in itertools.product(*classes):
-        seq = tuple(itertools.chain.from_iterable(arrangement))
-        images = _IMAGES.get(seq)
-        if images is None:
-            images = _IMAGES[seq] = _Images(seq)
-        key = sorted([(images[s].key, e) for s, e in m.pairs])
-        if best_key is None or key < best_key:
-            best, best_key = images, key
-    if best_key == [(s.key, e) for s, e in m.pairs]:
-        return m
-    return Monomial(tuple(sorted(((best[s], e) for s, e in m.pairs), key=_pair_order)))
-
-
 class PackedKeys:
     """Packed integer keys of the monomials of degree at most ``top`` in the
     ring of a context, and of their orbits under relabelling the markings.

@@ -20,8 +20,8 @@ Monomials that do carry exceptional factors are valued through their
 rewrite graph (see :mod:`tautring.rewrite`): a rewritten monomial is worth
 the values of the terms its step produces, and at top degree the standard
 monomials reached are exceptional-free, which the contraction handles.
-:class:`Evaluator` does this for one representative per orbit of the
-symmetric group on the markings.
+:class:`Evaluator` does this for the monomial it is given; the pairing fill
+asks it for one product per orbit of the symmetric group on the markings.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .core import (
     Polynomial,
     RingContext,
     UNIT,
-    canonical_monomial,
     diag,
     kappa,
     point_k,
@@ -247,21 +246,21 @@ def evaluate_free(
 
 
 class Evaluator:
-    """Rewrite-then-evaluate pipeline, memoized once per orbit of S_n.
+    """Rewrite-then-evaluate pipeline with a memo of values.
+
+    A monomial is valued over its rewrite graph: the walk stops at monomials
+    that already have a value, and every monomial it passes through is
+    memoized, so products that share part of their graph value it once.
 
     Relabelling the markings is a ring automorphism that fixes the kappa
-    classes and the socle, so the value of a monomial is the value of the
-    representative of its orbit (:func:`~tautring.core.canonical_monomial`).
-    Only representatives are rewritten and contracted; each value is
-    memoized under the monomial asked for, under its representative and
-    under every monomial its rewrite graph passes through.
-
-    ``orbit_values`` is the fill table of :func:`~tautring.pairing.pairing_matrix`:
-    it maps the packed key (:func:`~tautring.core.packed_keys`) of every
-    product the fill has valued, and of every relabelling of it, to its
-    value.  It lives as long as the evaluator, so a run that fills several
-    degrees with one evaluator values each orbit once; a degree's products
-    whose orbit an earlier degree valued are lookups, with no product built.
+    classes and the socle, so a monomial and its relabellings have one
+    value.  ``orbit_values`` is the fill table of
+    :func:`~tautring.pairing.pairing_matrix`: it maps the packed key
+    (:func:`~tautring.core.packed_keys`) of every product the fill has
+    valued, and of every relabelling of it, to its value.  It lives as long
+    as the evaluator, so a run that fills several degrees with one evaluator
+    values each orbit once; a degree's products whose orbit an earlier
+    degree valued are lookups, with no product built.
     """
 
     def __init__(self, ctx: RingContext, table: Optional[KappaTable] = None,
@@ -277,8 +276,10 @@ class Evaluator:
         self.orbit_values: dict[int, Fraction] = {}
 
     def evaluate_monomial(self, m: Monomial) -> Fraction:
-        """Value of a top-degree monomial (exceptional factors allowed)."""
-        got = self._memo.get(m)
+        """Value of a top-degree monomial (exceptional factors allowed),
+        summed over its rewrite graph."""
+        values = self._memo
+        got = values.get(m)
         if got is not None:
             return got
         ctx = self.ctx
@@ -286,34 +287,19 @@ class Evaluator:
             raise DegreeError(
                 f"{m!r} has degree {m.degree}, expected top degree {ctx.top_degree}"
             )
-        rep = canonical_monomial(m, ctx.n)
-        total = self._memo.get(rep)
-        if total is None:
-            try:
-                total = self._evaluate_representative(rep)
-            except (EvaluationError, NonTermination) as err:
-                if rep is m:
-                    raise
-                raise type(err)(f"{err} (evaluating {m!r} as its relabelling {rep!r})") from err
-        self._memo[m] = total
-        return total
-
-    def _evaluate_representative(self, m: Monomial) -> Fraction:
-        """Value of ``m`` summed over its rewrite graph, memoizing every
-        monomial on the way and stopping at those that have a value."""
-        values = self._memo
         graph = self.normalizer._memo
-        order, _ = self.normalizer.rewrite_order((m,), done=values)
-        for t in order:
-            terms = graph[t]
-            if terms is not None:
-                values[t] = sum((c * values[u] for u, c in terms), Fraction(0))
-            elif any(s.kind == EXC for s, _ in t.pairs):
-                raise EvaluationError(
-                    f"normal form of {m!r} kept exceptional factors in {t!r}"
-                )
-            else:
-                values[t] = evaluate_free(self.ctx, self.table, t)
+        try:
+            order, _ = self.normalizer.rewrite_order((m,), done=values)
+            for t in order:
+                terms = graph[t]
+                if terms is not None:
+                    values[t] = sum((c * values[u] for u, c in terms), Fraction(0))
+                elif any(s.kind == EXC for s, _ in t.pairs):
+                    raise EvaluationError(f"normal form kept exceptional factors in {t!r}")
+                else:
+                    values[t] = evaluate_free(ctx, self.table, t)
+        except (EvaluationError, NonTermination) as err:
+            raise type(err)(f"{err} (evaluating {m!r})") from err
         return values[m]
 
     def evaluate(self, poly: Polynomial) -> Fraction:

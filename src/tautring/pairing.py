@@ -11,8 +11,8 @@ degree ``k``, and :func:`dual_matrix` reads the whole degree ``top - k``
 matrix off the degree ``k`` one; :func:`dual_conjecture_check` reads its
 block reports and rank off those of degree ``k``.
 
-The fill canonicalizes once per orbit of the symmetric group on the
-markings, not once per product.  Relabelling the markings is a ring
+The fill values one product per orbit of the symmetric group on the
+markings, not one per entry.  Relabelling the markings is a ring
 automorphism that fixes the kappa classes and the socle, so a product and
 its relabellings have one value.  Every row and column gets a packed
 integer key (:class:`~tautring.core.PackedKeys`): one field per generator,

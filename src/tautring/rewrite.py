@@ -418,10 +418,7 @@ class Certificate:
 
 def apply_step(m: Monomial, step: Step) -> Polynomial:
     """Rewrite ``m`` by one step: ``m -> m - (1/c_L) * (m/L) * relation``,
-    which is ``(m/L) * remainder``.  ``step`` may be a plain
-    ``(instance, L, c_L)`` tuple."""
-    if not isinstance(step, Step):
-        step = Step(*step)
+    which is ``(m/L) * remainder``."""
     Q = m.try_div(step[1])
     if Q is None:
         raise ValueError(f"leading monomial {step[1]!r} does not divide {m!r}")

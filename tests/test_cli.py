@@ -353,6 +353,22 @@ def test_genus4_with_table(capsys, tmp_path):
     assert json.loads(out)["ok"] is True
 
 
+def test_genus4_verify_bytes_pinned(capsys, tmp_path):
+    # the one pin whose kappa table has more than one partition, so
+    # contractions end on both kappa monomials of degree 2; sha256 taken while each orbit was valued through a relabelled
+    # representative: valuing the product the fill hands over must not
+    # change a byte
+    tbl = tmp_path / "g4.tbl"
+    tbl.write_text("2=1\n1,1=32/3\n")
+    rc, out, _ = run(capsys, ["verify", "--g", "4", "--n", "4", "--format", "json",
+                              "--kappa-table", str(tbl)])
+    assert rc == 0
+    assert json.loads(out)["dims"] == [1, 16, 61, 95, 61, 16, 1]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0b202e6aefae148cae204d9c0d296476ffdbf3028b0bdda751a29954e66cef0f"
+    )
+
+
 def test_bad_parallelism(capsys):
     rc, _, err = run(capsys, ["pairing", "--g", "2", "--n", "2", "--k", "1",
                               "--parallelism", "0"])

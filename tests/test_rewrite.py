@@ -362,12 +362,13 @@ def test_vertex_reduction_step_applies():
     ctx = RingContext(2, 3)
     m = Monomial.from_pairs([(exc((1, 2, 3)), 2)])
     f = build_forest(ctx, m)
-    inst, lead, c_lead = vertex_reduction(ctx, f, 0)
+    step = vertex_reduction(ctx, f, 0)
+    inst, lead, c_lead = step
     assert lead == m
     assert inst.poly.coeff(lead) == c_lead == 1
     # one rewrite eliminates m and stays inside the ideal:
     # m - apply_step(m) = (1/c_L) * (m/L) * relation
-    rewritten = apply_step(m, (inst, lead, c_lead))
+    rewritten = apply_step(m, step)
     assert m not in dict(rewritten.items())
     diff = Polynomial.monomial(m) - rewritten
     assert diff == inst.poly.mul_monomial(m.try_div(lead), Fraction(1) / c_lead)
