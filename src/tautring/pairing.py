@@ -33,11 +33,11 @@ The conjectured structure is then visible directly:
   below the other side's and a filtration bound overshoots the top degree
   (:func:`verify_triangular`); the rule reads only what a block's rows, and
   a block's columns, have in common, so it is checked once per block pair;
-* each diagonal block is a single rational constant times the pairing
-  matrix of the exceptional-free theory on the block's marking set ``S``,
-  which is valued on the ring of ``s = |S|`` markings by the same
-  orbit-keyed fill, once per orbit of ``S_s``; a run's ``reference`` dict
-  maps ``s`` to that fill table (:func:`block_constant_reports`);
+* each diagonal block, with marking set ``S`` and rows of free degree
+  ``delta``, is a single rational constant times the pairing of C_g^s,
+  ``s = |S|``, in degree ``delta``; a run fills that pairing by the same
+  orbit-keyed fill, on the ring of ``s`` markings, and ranks it once per
+  ``(s, delta)`` (:func:`block_constant_reports`);
 * consequently the rank splits as the sum of the diagonal block ranks
   (:func:`conjecture_check`).
 
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Monomial, RingContext, packed_keys, relabel_monomial
+from .core import Monomial, RingContext, packed_keys
 from .evaluate import Evaluator, KappaTable, evaluate_free
 from .forest import (
     ExceptionalForest,
@@ -161,7 +161,7 @@ def pairing_matrix(ctx: RingContext, k: int, evaluator: Optional[Evaluator] = No
     if parallelism > 1 and rows and cols:
         entries = _parallel_entries(ctx, evaluator, rows, cols, parallelism)
     else:
-        entries, _, _ = _orbit_fill(
+        entries = _orbit_fill(
             packed_keys(ctx), [r.monomial for r in rows], [c.monomial for c in cols],
             evaluator.evaluate_monomial, evaluator.orbit_values,
         )
@@ -180,8 +180,7 @@ def _orbit_fill(keys, rows, cols, value, memo):
     which is never built, so it gets the result for the first product of
     its orbit, in this call or an earlier one with the same ``memo``:
     ``value(r * c)`` itself when ``value`` is constant on orbits, as the
-    socle value is.  Returns the entries, row by row, and the keys of the
-    rows and of the columns.
+    socle value is.  Returns the entries, row by row.
     """
     row_keys = [keys.key(r) for r in rows]
     col_keys = [keys.key(c) for c in cols]
@@ -197,7 +196,7 @@ def _orbit_fill(keys, rows, cols, value, memo):
                     memo[key] = v
             row.append(v)
         out.append(tuple(row))
-    return tuple(out), row_keys, col_keys
+    return tuple(out)
 
 
 def dual_matrix(matrix: PairingMatrix) -> PairingMatrix:
@@ -238,8 +237,8 @@ def _parallel_entries(ctx, evaluator, rows, cols, parallelism):
         unique.append(repr(m))
         return unique[-1]
 
-    texts, _, _ = _orbit_fill(packed_keys(ctx), [r.monomial for r in rows],
-                              [c.monomial for c in cols], ship, {})
+    texts = _orbit_fill(packed_keys(ctx), [r.monomial for r in rows],
+                        [c.monomial for c in cols], ship, {})
     n_chunks = min(len(unique), parallelism * 4)
     size = -(-len(unique) // n_chunks)
     chunks = [unique[i:i + size] for i in range(0, len(unique), size)]
@@ -338,10 +337,10 @@ def _block_report(ctx: RingContext, block: PairingBlock, constant: Optional[Frac
 def _proportional(sub, ref, constant: Fraction) -> bool:
     """Whether ``sub`` is ``constant`` times ``ref``, entry by entry.
 
-    The reference memo holds one value object per orbit, shared by every
-    entry of the orbit and kept alive by ``ref``, so each nonzero object is
-    scaled once, looked up by identity, not once per entry; a zero
-    reference entry asks for a zero entry.
+    The orbit table of ``S_s`` holds one value object per orbit, shared by
+    every entry of the orbit and kept alive by ``ref``, so each nonzero
+    object is scaled once, looked up by identity, not once per entry; a
+    zero reference entry asks for a zero entry.
     """
     scaled = {}
     for xs, vs in zip(sub, ref):
@@ -357,17 +356,30 @@ def _proportional(sub, ref, constant: Fraction) -> bool:
     return True
 
 
+def _reference_pairing(g: int, table: KappaTable, reference: dict, s: int, delta: int):
+    """The pairing of C_g^s in degree ``delta``, and its rank: the cluster
+    monomials of degree ``delta`` on ``1..s`` against those of degree
+    ``g - 2 + s - delta``, valued by :func:`evaluate_free` through
+    :func:`_orbit_fill`.  ``reference[s]`` holds the orbit table of ``S_s``,
+    shared by every degree, and the ``(entries, rank)`` of each degree
+    filled on the ring, so each is filled and ranked once per run."""
+    orbit_values, pairings = reference.setdefault(s, ({}, {}))
+    pairing = pairings.get(delta)
+    if pairing is None:
+        ctx = RingContext(g, s)
+        entries = _orbit_fill(
+            packed_keys(ctx), cluster_monomials(ctx, ctx.markings, delta),
+            cluster_monomials(ctx, ctx.markings, g - 2 + s - delta),
+            lambda m: evaluate_free(ctx, table, m), orbit_values,
+        )
+        pairing = pairings[delta] = (entries, exact_rank(entries))
+    return pairing
+
+
 def _compare_block(matrix: PairingMatrix, block: PairingBlock, table: KappaTable,
                    reference: dict) -> BlockConstantReport:
-    ctx = matrix.ctx
-    s = len(block.S)
-    ref_ctx = RingContext(ctx.g, s)
-    phi = {i: t for t, i in enumerate(block.S, start=1)}
-    brows = [relabel_monomial(r.apart, phi) for r in matrix.rows[block.row_start:block.row_stop]]
-    bcols = [relabel_monomial(c.apart, phi) for c in matrix.cols[block.col_start:block.col_stop]]
-    ref, row_keys, col_keys = _orbit_fill(
-        packed_keys(ref_ctx), brows, bcols,
-        lambda m: evaluate_free(ref_ctx, table, m), reference.setdefault(s, {}),
+    ref, reference_rank = _reference_pairing(
+        matrix.ctx.g, table, reference, len(block.S), matrix.k - block.label.degree
     )
     sub = matrix.submatrix(block)
     constant = next(
@@ -375,20 +387,13 @@ def _compare_block(matrix: PairingMatrix, block: PairingBlock, table: KappaTable
     )
     if constant is None:
         proportional = not any(x for xs in sub for x in xs)
-        reference_rank = 0
     else:
         proportional = _proportional(sub, ref, constant)
-        # the same row and column keys, in any order, give the same matrix up to
-        # permuting rows and columns
-        rank_key = (s, tuple(sorted(row_keys)), tuple(sorted(col_keys)))
-        reference_rank = reference.get(rank_key)
-        if reference_rank is None:
-            reference_rank = reference[rank_key] = exact_rank(ref)
     if not proportional:
         block_rank = exact_rank(sub)
     else:
         block_rank = reference_rank if constant else 0
-    return _block_report(ctx, block, constant, proportional, block_rank, reference_rank)
+    return _block_report(matrix.ctx, block, constant, proportional, block_rank, reference_rank)
 
 
 def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = None,
@@ -400,27 +405,20 @@ def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = 
     is expected to equal a single constant times the reference, which
     ``proportional`` reports.
 
-    The reference is valued on the ring of ``s = |S|`` markings: ``a * a'``
-    becomes ``phi(a) * phi(a')``, where ``phi`` is the order-preserving
-    bijection from ``S`` onto ``1..s``.  :func:`evaluate_free` reads only
-    the genus and the number of markings, and ``phi`` keeps every step of
-    the contraction (descending order, the smallest partner as anchor), so
-    the value is the same.  The reference is filled as the pairing matrix
-    is, by the same orbit-keyed fill on that ring: ``reference[s]`` is the
-    fill table of ``S_s``, which maps the packed key of ``phi(a) * phi(a')``
-    (:class:`~tautring.core.PackedKeys`), the sum of the keys of ``phi(a)``
-    and ``phi(a')``, to its value.  On a miss the product is built, valued,
-    and stored under the key of every relabelling of it, since relabelling
-    the markings fixes the value.  So the blocks of every marking set of one
-    size, in every degree, share one value per orbit of ``S_s``.
+    The reference is the pairing of C_g^s, ``s = |S|``, in degree
+    ``delta = k - deg P`` (:func:`_reference_pairing`).  The order-preserving
+    bijection ``phi`` from ``S`` onto ``1..s`` maps the block's row a-parts,
+    in order, onto the cluster monomials of degree ``delta`` on ``1..s``,
+    and its column a-parts onto those of degree ``g - 2 + s - delta``.
+    :func:`evaluate_free` reads only the genus and the number of markings,
+    and ``phi`` keeps every step of the contraction (descending order, the
+    smallest partner as anchor), so each value is the same.  Hence every
+    block with the same ``(s, delta)`` has the same reference, and a run
+    fills and ranks it once, valuing one product per orbit of ``S_s``.
 
-    Ranks are read off where a theorem gives them.  The reference of a
-    block is the matrix of its row and column keys, so blocks with the same
-    ``s`` and the same keys, in any order, have the same reference rank, and
-    ``reference`` holds it under ``(s, row keys, column keys)``, sorted.  A
-    proportional block with constant ``c`` is ``c`` times its reference, so
-    its rank is the reference rank when ``c != 0`` and 0 otherwise; only a
-    block that is not proportional is ranked itself.
+    A proportional block with constant ``c`` is ``c`` times its reference,
+    so its rank is the reference rank when ``c != 0`` and 0 otherwise; only
+    a block that is not proportional is ranked itself.
 
     Pass one dict to every call of a run with the same genus and table.
     """

@@ -221,6 +221,24 @@ def test_verify_output_bytes_pinned(capsys, g, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[(g, n, fmt)]
 
 
+# sha256 of `verify --k` stdout for a degree above top / 2, taken before the
+# block references were filled once per (|S|, free degree): a full run reads
+# that degree off its dual, but here it is filled and each block is compared
+# with its reference directly.
+VERIFY_K_SHA256 = {
+    (2, 5, 4): "de770b9dfd3794fb7e54b4c1953ffba84f93a265d1f5346e9ba5181c9f5993ff",
+    (3, 4, 4): "420a87538bf5076c5a962cae4ef7a863da523cc416a5de73a62a84804618f484",
+}
+
+
+@pytest.mark.parametrize("g,n,k", sorted(VERIFY_K_SHA256))
+def test_verify_high_degree_bytes_pinned(capsys, g, n, k):
+    rc, out, _ = run(capsys, ["verify", "--g", str(g), "--n", str(n), "--k", str(k),
+                              "--format", "json"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_K_SHA256[(g, n, k)]
+
+
 # sha256 of pairing stdout, taken while every product of the fill was
 # built and canonicalized: valuing one product per S_n orbit and reading the
 # rest off packed keys must not change a byte, with or without the pool.

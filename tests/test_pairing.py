@@ -19,7 +19,7 @@ from tautring import (
 )
 from tautring.core import packed_keys, relabel_monomial
 from tautring.linalg import exact_rank
-from tautring.forest import dpart_monomial, dual_forest
+from tautring.forest import cluster_monomials, dpart_monomial, dual_forest
 from tautring import pairing as pairing_module
 from tautring.pairing import (
     PairingMatrix,
@@ -170,8 +170,10 @@ def test_exact_rank_matches_bareiss_on_verify_matrices(g, n, monkeypatch):
 
     Each block rank is the Bareiss rank of the block, and each reference
     rank the Bareiss rank of the reference valued directly on the block's
-    marking set S, whose entries the run's reference memo holds under the
-    key of the product relabelled onto 1..|S|.
+    marking set S.  The run's S_s orbit table holds each of its entries
+    under the key of the product relabelled onto 1..|S|, and the run's
+    pairing of C_g^|S| in the block's free degree is that reference, in
+    block order.
     """
     ctx, ev, ms = get_matrices(g, n)
     ranked = []
@@ -195,8 +197,10 @@ def test_exact_rank_matches_bareiss_on_verify_matrices(g, n, monkeypatch):
         for block, b in zip(m.blocks, report.block_reports):
             assert b.block_rank == _bareiss_rank(m.submatrix(block))
             S = block.S
+            s, delta = len(S), report.k - block.label.degree
+            orbit_values, pairings = reference[s]
             phi = {i: t for t, i in enumerate(S, start=1)}
-            keys = packed_keys(RingContext(g, len(S)))
+            keys = packed_keys(RingContext(g, s))
             ref = []
             for r in m.rows[block.row_start:block.row_stop]:
                 ref_row = []
@@ -205,10 +209,17 @@ def test_exact_rank_matches_bareiss_on_verify_matrices(g, n, monkeypatch):
                     if (S, prod) not in direct:
                         direct[S, prod] = evaluate_free(ctx, ev.table, prod, markings=S)
                     v = direct[S, prod]
-                    assert reference[len(S)][keys.key(relabel_monomial(prod, phi))] == v
+                    assert orbit_values[keys.key(relabel_monomial(prod, phi))] == v
                     ref_row.append(v)
-                ref.append(ref_row)
+                ref.append(tuple(ref_row))
             assert b.reference_rank == _bareiss_rank(ref)
+            # the run's (s, delta) pairing is the block's reference, entry by
+            # entry in block order; a block whose report was read off its
+            # transpose left only the complementary degree filled
+            if delta in pairings:
+                assert pairings[delta][0] == tuple(ref)
+            else:
+                assert tuple(zip(*pairings[g - 2 + s - delta][0])) == tuple(ref)
 
 
 def test_exact_det():
@@ -622,6 +633,26 @@ def test_fill_values_each_orbit_once_per_run(g, n, monkeypatch):
         )
 
 
+@pytest.mark.parametrize("g,n", [(g, n) for g in (2, 3) for n in (1, 2, 3, 4, 5)] + [(4, 4)])
+def test_block_a_parts_are_the_cluster_monomials_of_their_degree(g, n):
+    """Relabelled onto 1..s by the order-preserving bijection from the
+    block's marking set S, s = |S|, the row a-parts of each block of every
+    degree are, in order, the cluster monomials of C_g^s of the block's
+    free degree delta, and its column a-parts those of degree
+    g - 2 + s - delta; so a block's reference depends only on (s, delta)."""
+    ctx = RingContext(g, n)
+    for k in range(ctx.top_degree + 1):
+        rows, cols, blocks = pairing_module._layout(ctx, k)
+        for block in blocks:
+            s, delta = len(block.S), k - block.label.degree
+            phi = {i: t for t, i in enumerate(block.S, start=1)}
+            ref_ctx = RingContext(g, s)
+            assert [relabel_monomial(r.apart, phi) for r in rows[block.row_start:block.row_stop]] == list(
+                cluster_monomials(ref_ctx, ref_ctx.markings, delta))
+            assert [relabel_monomial(c.apart, phi) for c in cols[block.col_start:block.col_stop]] == list(
+                cluster_monomials(ref_ctx, ref_ctx.markings, g - 2 + s - delta))
+
+
 @pytest.mark.parametrize("g,n", [(2, 4), (3, 4)])
 def test_references_value_each_orbit_once_per_run(g, n, monkeypatch):
     """The block references of every degree of a verify run value each
@@ -652,7 +683,7 @@ def test_references_value_each_orbit_once_per_run(g, n, monkeypatch):
                     if (S, prod) not in direct:
                         direct[S, prod] = evaluate_free(ctx, ev.table, prod, markings=S)
                     key = keys.key(relabel_monomial(prod, phi))
-                    assert reference[len(S)][key] == direct[S, prod]
+                    assert reference[len(S)][0][key] == direct[S, prod]
 
 
 def test_pairing_matrix_rejects_an_evaluator_of_another_ring():
