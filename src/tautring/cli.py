@@ -176,15 +176,14 @@ def _cmd_pairing(args) -> int:
 
 def _verify_data(args, ctx: RingContext, table: KappaTable) -> dict:
     evaluator = _evaluator(args, ctx, table)
-    reference = {}
 
     def fill(k):
         return pairing_matrix(ctx, k, evaluator, args.parallelism)
 
     if args.k is not None:
-        reports = [conjecture_check(fill(args.k), table, reference)]
+        reports = [conjecture_check(fill(args.k))]
     else:
-        reports = all_degree_reports(ctx, fill, table, reference)
+        reports = all_degree_reports(ctx, fill)
     checks = []
     all_ok = True
     for report in reports:

@@ -325,10 +325,6 @@ class Polynomial:
     def monomial(m: Monomial, coeff: Scalar = 1) -> "Polynomial":
         return Polynomial({m: _as_fraction(coeff)})
 
-    @staticmethod
-    def scalar(c: Scalar) -> "Polynomial":
-        return Polynomial({UNIT: _as_fraction(c)})
-
     def items(self) -> Iterator[tuple[Monomial, Fraction]]:
         """Terms in canonical monomial order."""
         return iter(sorted(self._terms.items(), key=lambda t: t[0].sort_key))

@@ -64,7 +64,9 @@ class KappaTable:
     Maps each partition of ``g - 2`` (a nonincreasing tuple of kappa
     indices) to a rational, normalized so the one-part partition maps to 1.
     Genus 2 and 3 have a single partition each, so their tables are built
-    in; higher genus needs externally supplied values.
+    in; higher genus needs externally supplied values.  Two tables are
+    equal when their genus and values are, and a table is never changed
+    once built, so it can key a memo of what it values.
     """
 
     def __init__(self, g: int, values: Mapping[tuple[int, ...], Union[int, Fraction]]):
@@ -92,6 +94,15 @@ class KappaTable:
         if clean[top] != 1:
             raise KappaTableError("the one-part partition must evaluate to 1")
         self._values = clean
+        self._hash = hash((g, self.items()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KappaTable):
+            return NotImplemented
+        return self.g == other.g and self._values == other._values
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def builtin(g: int) -> "KappaTable":

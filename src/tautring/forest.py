@@ -65,13 +65,6 @@ class ExceptionalForest:
         return tuple(tuple(sorted(k)) for k in kids)
 
     @functools.cached_property
-    def parent(self) -> tuple[Union[int, None], ...]:
-        par: list[Union[int, None]] = [None] * len(self.vertices)
-        for p, c in self.edges:
-            par[c] = p
-        return tuple(par)
-
-    @functools.cached_property
     def depth(self) -> tuple[int, ...]:
         out = [0] * len(self.vertices)
 
@@ -219,10 +212,6 @@ class StandardMonomial:
     @functools.cached_property
     def dpart(self) -> Monomial:
         return self.monomial.d_part()
-
-    @functools.cached_property
-    def apart(self) -> Monomial:
-        return self.monomial.a_part()
 
 
 def filtration_level(apart_degree: int, forest: ExceptionalForest) -> int:

@@ -35,9 +35,9 @@ The conjectured structure is then visible directly:
   a block's columns, have in common, so it is checked once per block pair;
 * each diagonal block, with marking set ``S`` and rows of free degree
   ``delta``, is a single rational constant times the pairing of C_g^s,
-  ``s = |S|``, in degree ``delta``; a run fills that pairing by the same
-  orbit-keyed fill, on the ring of ``s`` markings, and ranks it once per
-  ``(s, delta)`` (:func:`block_constant_reports`);
+  ``s = |S|``, in degree ``delta``; that pairing is filled by the same
+  orbit-keyed fill, on the ring of ``s`` markings, and ranked once per
+  process per kappa table and ``(s, delta)`` (:func:`block_constant_reports`);
 * consequently the rank splits as the sum of the diagonal block ranks
   (:func:`conjecture_check`).
 
@@ -95,12 +95,16 @@ class PairingBlock:
 
 @dataclass(frozen=True)
 class PairingMatrix:
+    """The degree ``k`` pairing.  ``table`` is the kappa table its entries
+    were valued with; the structure checks value the block references with it."""
+
     ctx: RingContext
     k: int
     rows: tuple[StandardMonomial, ...]
     cols: tuple[StandardMonomial, ...]
     entries: tuple[tuple[Fraction, ...], ...]
     blocks: tuple[PairingBlock, ...]
+    table: KappaTable
 
     def rank(self) -> int:
         return exact_rank(self.entries)
@@ -165,7 +169,7 @@ def pairing_matrix(ctx: RingContext, k: int, evaluator: Optional[Evaluator] = No
             packed_keys(ctx), [r.monomial for r in rows], [c.monomial for c in cols],
             evaluator.evaluate_monomial, evaluator.orbit_values,
         )
-    return PairingMatrix(ctx, k, rows, cols, entries, blocks)
+    return PairingMatrix(ctx, k, rows, cols, entries, blocks, evaluator.table)
 
 
 def _orbit_fill(keys, rows, cols, value, memo):
@@ -226,7 +230,7 @@ def dual_matrix(matrix: PairingMatrix) -> PairingMatrix:
             f"{err.args[0]!r} is not in the degree {matrix.k} layout"
         ) from None
     entries = tuple(tuple(row[j] for row in src_rows) for j in src_cols)
-    return PairingMatrix(ctx, k, rows, cols, entries, blocks)
+    return PairingMatrix(ctx, k, rows, cols, entries, blocks, matrix.table)
 
 
 def _parallel_entries(ctx, evaluator, rows, cols, parallelism):
@@ -356,30 +360,36 @@ def _proportional(sub, ref, constant: Fraction) -> bool:
     return True
 
 
-def _reference_pairing(g: int, table: KappaTable, reference: dict, s: int, delta: int):
+# (table, s) -> (orbit table of S_s, {delta: (entries, rank)}); a reference
+# depends only on the table's values and (s, delta), and no entry changes
+# once filled, so every run of the process shares it
+_REFERENCES: dict[tuple[KappaTable, int], tuple[dict, dict]] = {}
+
+
+def _reference_pairing(table: KappaTable, s: int, delta: int):
     """The pairing of C_g^s in degree ``delta``, and its rank: the cluster
     monomials of degree ``delta`` on ``1..s`` against those of degree
-    ``g - 2 + s - delta``, valued by :func:`evaluate_free` through
-    :func:`_orbit_fill`.  ``reference[s]`` holds the orbit table of ``S_s``,
-    shared by every degree, and the ``(entries, rank)`` of each degree
-    filled on the ring, so each is filled and ranked once per run."""
-    orbit_values, pairings = reference.setdefault(s, ({}, {}))
+    ``g - 2 + s - delta``, valued by :func:`evaluate_free` with ``table``
+    through :func:`_orbit_fill`.  ``_REFERENCES[table, s]`` holds the orbit
+    table of ``S_s``, shared by every degree, and the ``(entries, rank)`` of
+    each degree filled on the ring, so each is filled and ranked once per
+    process."""
+    orbit_values, pairings = _REFERENCES.setdefault((table, s), ({}, {}))
     pairing = pairings.get(delta)
     if pairing is None:
-        ctx = RingContext(g, s)
+        ctx = RingContext(table.g, s)
         entries = _orbit_fill(
             packed_keys(ctx), cluster_monomials(ctx, ctx.markings, delta),
-            cluster_monomials(ctx, ctx.markings, g - 2 + s - delta),
+            cluster_monomials(ctx, ctx.markings, ctx.g - 2 + s - delta),
             lambda m: evaluate_free(ctx, table, m), orbit_values,
         )
         pairing = pairings[delta] = (entries, exact_rank(entries))
     return pairing
 
 
-def _compare_block(matrix: PairingMatrix, block: PairingBlock, table: KappaTable,
-                   reference: dict) -> BlockConstantReport:
+def _compare_block(matrix: PairingMatrix, block: PairingBlock) -> BlockConstantReport:
     ref, reference_rank = _reference_pairing(
-        matrix.ctx.g, table, reference, len(block.S), matrix.k - block.label.degree
+        matrix.table, len(block.S), matrix.k - block.label.degree
     )
     sub = matrix.submatrix(block)
     constant = next(
@@ -396,8 +406,7 @@ def _compare_block(matrix: PairingMatrix, block: PairingBlock, table: KappaTable
     return _block_report(matrix.ctx, block, constant, proportional, block_rank, reference_rank)
 
 
-def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = None,
-                           reference: Optional[dict] = None) -> list[BlockConstantReport]:
+def block_constant_reports(matrix: PairingMatrix) -> list[BlockConstantReport]:
     """Compare each diagonal block against its exceptional-free reference.
 
     The reference entry for row ``a * P`` and column ``a' * dual(P)`` is the
@@ -413,20 +422,15 @@ def block_constant_reports(matrix: PairingMatrix, table: Optional[KappaTable] = 
     :func:`evaluate_free` reads only the genus and the number of markings,
     and ``phi`` keeps every step of the contraction (descending order, the
     smallest partner as anchor), so each value is the same.  Hence every
-    block with the same ``(s, delta)`` has the same reference, and a run
-    fills and ranks it once, valuing one product per orbit of ``S_s``.
+    block with the same ``(s, delta)`` has the same reference, valued with
+    the matrix's kappa table; a process fills and ranks it once per table
+    and ``(s, delta)``, valuing one product per orbit of ``S_s``.
 
     A proportional block with constant ``c`` is ``c`` times its reference,
     so its rank is the reference rank when ``c != 0`` and 0 otherwise; only
     a block that is not proportional is ranked itself.
-
-    Pass one dict to every call of a run with the same genus and table.
     """
-    if table is None:
-        table = KappaTable.builtin(matrix.ctx.g)
-    if reference is None:
-        reference = {}
-    return [_compare_block(matrix, block, table, reference) for block in matrix.blocks]
+    return [_compare_block(matrix, block) for block in matrix.blocks]
 
 
 @dataclass(frozen=True)
@@ -456,21 +460,18 @@ class ConjectureReport:
         )
 
 
-def conjecture_check(matrix: PairingMatrix, table: Optional[KappaTable] = None,
-                     reference: Optional[dict] = None) -> ConjectureReport:
+def conjecture_check(matrix: PairingMatrix) -> ConjectureReport:
     return ConjectureReport(
         k=matrix.k,
         n_rows=len(matrix.rows),
         n_cols=len(matrix.cols),
         matrix_rank=matrix.rank(),
         triangle_violations=verify_triangular(matrix),
-        block_reports=tuple(block_constant_reports(matrix, table, reference)),
+        block_reports=tuple(block_constant_reports(matrix)),
     )
 
 
-def dual_conjecture_check(matrix: PairingMatrix, report: ConjectureReport,
-                          table: Optional[KappaTable] = None,
-                          reference: Optional[dict] = None) -> ConjectureReport:
+def dual_conjecture_check(matrix: PairingMatrix, report: ConjectureReport) -> ConjectureReport:
     """The report of degree ``top - k``, read off ``report``, the report of
     ``matrix`` (degree ``k``), on its :func:`dual_matrix`.
 
@@ -487,10 +488,6 @@ def dual_conjecture_check(matrix: PairingMatrix, report: ConjectureReport,
     matrix itself.
     """
     dual = dual_matrix(matrix)
-    if table is None:
-        table = KappaTable.builtin(dual.ctx.g)
-    if reference is None:
-        reference = {}
     partners = {b.forest: r for b, r in zip(matrix.blocks, report.block_reports)}
     block_reports = []
     for block in dual.blocks:
@@ -500,7 +497,7 @@ def dual_conjecture_check(matrix: PairingMatrix, report: ConjectureReport,
                 dual.ctx, block, p.constant, True, p.block_rank, p.reference_rank
             ))
         else:
-            block_reports.append(_compare_block(dual, block, table, reference))
+            block_reports.append(_compare_block(dual, block))
     return ConjectureReport(
         k=dual.k,
         n_rows=len(dual.rows),
@@ -511,22 +508,19 @@ def dual_conjecture_check(matrix: PairingMatrix, report: ConjectureReport,
     )
 
 
-def all_degree_reports(ctx: RingContext, fill, table: Optional[KappaTable] = None,
-                       reference: Optional[dict] = None):
+def all_degree_reports(ctx: RingContext, fill):
     """The :func:`conjecture_check` of every degree, in the order
     ``0, top, 1, top - 1, ...``: degree ``k <= top / 2`` is filled by
     ``fill(k)`` and checked, and degree ``top - k`` is read off it by
     :func:`dual_conjecture_check`.  A filled matrix is dropped once the
     report of its dual has been handed out."""
-    if reference is None:
-        reference = {}
     top = ctx.top_degree
     for k in range(top // 2 + 1):
         matrix = fill(k)
-        report = conjecture_check(matrix, table, reference)
+        report = conjecture_check(matrix)
         yield report
         if 2 * k != top:
-            yield dual_conjecture_check(matrix, report, table, reference)
+            yield dual_conjecture_check(matrix, report)
         del matrix
 
 

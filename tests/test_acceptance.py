@@ -177,7 +177,7 @@ def test_criterion_5_blocks(capsys):
         for m in ms:
             n_matrices += 1
             triangle_bad += len(verify_triangular(m))
-            reports = block_constant_reports(m, ev.table)
+            reports = block_constant_reports(m)
             not_prop += sum(1 for r in reports if not r.proportional)
             if m.rank() != sum(r.block_rank for r in reports):
                 not_additive += 1
@@ -245,7 +245,7 @@ def test_criterion_8_block_constants(capsys):
     for g, n in GN_RANGE:
         ctx, ev, ms = get_matrices(g, n)
         for m in ms:
-            for r in block_constant_reports(m, ev.table):
+            for r in block_constant_reports(m):
                 total += 1
                 if r.constant is None:
                     status = "empty"

@@ -64,7 +64,6 @@ def test_nested_chain():
     assert f.vertex_set(1) == (1, 2, 3, 4)
     assert f.edges == ((1, 0),)
     assert f.roots == (1,)
-    assert f.parent == (1, None)
     assert f.depth == (1, 0)
     # outer vertex: B = 4 - 3 + 1 - 1 = 1, so no standard exponent exists
     assert f.bound_total(1) == 1

@@ -80,7 +80,7 @@ def test_parse_polynomial_rejects(text):
 
 def test_format_zero_and_constants():
     assert format_polynomial(Polynomial.zero()) == "0"
-    assert format_polynomial(Polynomial.scalar(Fraction(-3, 4))) == "-3/4"
+    assert format_polynomial(Polynomial.monomial(UNIT, Fraction(-3, 4))) == "-3/4"
     assert format_monomial(UNIT) == "1"
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from tautring import (
     Evaluator,
+    KappaTable,
     Monomial,
     RingContext,
     check_duality_classes,
@@ -184,7 +185,8 @@ def test_exact_rank_matches_bareiss_on_verify_matrices(g, n, monkeypatch):
 
     monkeypatch.setattr(pairing_module, "exact_rank", recording_rank)
     reference = {}
-    reports = list(all_degree_reports(ctx, ms.__getitem__, ev.table, reference))
+    monkeypatch.setattr(pairing_module, "_REFERENCES", reference)
+    reports = list(all_degree_reports(ctx, ms.__getitem__))
     monkeypatch.undo()
     assert ranked
     for rows in ranked:
@@ -198,14 +200,14 @@ def test_exact_rank_matches_bareiss_on_verify_matrices(g, n, monkeypatch):
             assert b.block_rank == _bareiss_rank(m.submatrix(block))
             S = block.S
             s, delta = len(S), report.k - block.label.degree
-            orbit_values, pairings = reference[s]
+            orbit_values, pairings = reference[ev.table, s]
             phi = {i: t for t, i in enumerate(S, start=1)}
             keys = packed_keys(RingContext(g, s))
             ref = []
             for r in m.rows[block.row_start:block.row_stop]:
                 ref_row = []
                 for c in m.cols[block.col_start:block.col_stop]:
-                    prod = r.apart * c.apart
+                    prod = r.monomial.a_part() * c.monomial.a_part()
                     if (S, prod) not in direct:
                         direct[S, prod] = evaluate_free(ctx, ev.table, prod, markings=S)
                     v = direct[S, prod]
@@ -375,7 +377,7 @@ def test_block_constants_frozen(g, n, k, label):
     ctx, ev, ms = get_matrices(g, n)
     want = BLOCK_CONSTANTS[(g, n, k, label)]
     target = parse_monomial(ctx, label)
-    reports = [r for r in block_constant_reports(ms[k], ev.table) if r.label == target]
+    reports = [r for r in block_constant_reports(ms[k]) if r.label == target]
     assert len(reports) == 1
     rep = reports[0]
     assert rep.proportional
@@ -389,7 +391,7 @@ def test_block_constants_frozen(g, n, k, label):
 def test_free_block_constant_is_one():
     ctx, ev, ms = get_matrices(2, 3)
     for m in ms[1:]:
-        free = [r for r in block_constant_reports(m, ev.table) if r.label == Monomial(())]
+        free = [r for r in block_constant_reports(m) if r.label == Monomial(())]
         for rep in free:
             assert rep.constant in (None, F(1))
             assert rep.matches_rule in (None, True)
@@ -399,7 +401,7 @@ def test_free_block_constant_is_one():
 def test_conjecture_check_passes(g, n):
     ctx, ev, ms = get_matrices(g, n)
     for m in ms:
-        rep = conjecture_check(m, ev.table)
+        rep = conjecture_check(m)
         assert rep.ok
         assert rep.rank_additive
         assert rep.matrix_rank == m.rank()
@@ -419,11 +421,11 @@ def test_tampered_block_is_not_proportional():
         if m.entries[i][j]
     )
     bad = with_entries(m, {(i, j): 2 * m.entries[i][j]})
-    [report] = [r for r in block_constant_reports(bad, ev.table) if r.label == b.label]
+    [report] = [r for r in block_constant_reports(bad) if r.label == b.label]
     assert not report.proportional
     # a block that is not proportional is ranked itself, not read off
     assert report.block_rank == _bareiss_rank(bad.submatrix(b))
-    assert not conjecture_check(bad, ev.table).ok
+    assert not conjecture_check(bad).ok
 
 
 def test_zeroed_block_is_proportional_with_constant_and_rank_zero():
@@ -434,7 +436,7 @@ def test_zeroed_block_is_proportional_with_constant_and_rank_zero():
     b = next(b for b in m.blocks if b.n_rows > 1 and b.n_cols > 1)
     bad = with_entries(m, {(i, j): F(0) for i in range(b.row_start, b.row_stop)
                            for j in range(b.col_start, b.col_stop)})
-    [report] = [r for r in block_constant_reports(bad, ev.table) if r.label == b.label]
+    [report] = [r for r in block_constant_reports(bad) if r.label == b.label]
     assert report.proportional and report.constant == 0
     assert report.block_rank == 0 < report.reference_rank
 
@@ -498,7 +500,7 @@ def test_dual_matrix_equals_filled_matrix(g, n):
         filled.append(k)
         return ms[k]
 
-    got = list(all_degree_reports(ctx, fill, ev.table))
+    got = list(all_degree_reports(ctx, fill))
     assert filled == list(range(top // 2 + 1))
     assert [r.k for r in got] == [k for f in filled for k in dict.fromkeys((f, top - f))]
 
@@ -526,10 +528,10 @@ def test_reports_read_off_by_transposition_equal_computed_ones(g, n):
     all-degree loop yields one report per degree."""
     ctx, ev, ms = get_matrices(g, n)
     top = ctx.top_degree
-    computed = [conjecture_check(m, ev.table) for m in ms]
+    computed = [conjecture_check(m) for m in ms]
     for m, report in zip(ms, computed):
-        assert dual_conjecture_check(m, report, ev.table) == computed[top - m.k]
-    got = list(all_degree_reports(ctx, ms.__getitem__, ev.table))
+        assert dual_conjecture_check(m, report) == computed[top - m.k]
+    got = list(all_degree_reports(ctx, ms.__getitem__))
     assert sorted(r.k for r in got) == list(range(top + 1))
     for report in got:
         assert report == computed[report.k]
@@ -548,10 +550,10 @@ def test_report_of_a_non_proportional_partner_is_computed():
         if m.entries[i][j]
     )
     bad = with_entries(m, {(i, j): 2 * m.entries[i][j]})
-    report = conjecture_check(bad, ev.table)
+    report = conjecture_check(bad)
     assert not all(r.proportional for r in report.block_reports)
-    read = dual_conjecture_check(bad, report, ev.table)
-    assert read == conjecture_check(dual_matrix(bad), ev.table)
+    read = dual_conjecture_check(bad, report)
+    assert read == conjecture_check(dual_matrix(bad))
     assert not read.ok
 
 
@@ -616,7 +618,7 @@ def test_fill_values_each_orbit_once_per_run(g, n, monkeypatch):
         filled.append(pairing_matrix(ctx, k, ev))
         return filled[-1]
 
-    list(all_degree_reports(ctx, fill, ev.table))
+    list(all_degree_reports(ctx, fill))
     monkeypatch.undo()
     assert [m.k for m in filled] == list(range(ctx.top_degree // 2 + 1))
     keys = packed_keys(ctx)
@@ -647,9 +649,9 @@ def test_block_a_parts_are_the_cluster_monomials_of_their_degree(g, n):
             s, delta = len(block.S), k - block.label.degree
             phi = {i: t for t, i in enumerate(block.S, start=1)}
             ref_ctx = RingContext(g, s)
-            assert [relabel_monomial(r.apart, phi) for r in rows[block.row_start:block.row_stop]] == list(
+            assert [relabel_monomial(r.monomial.a_part(), phi) for r in rows[block.row_start:block.row_stop]] == list(
                 cluster_monomials(ref_ctx, ref_ctx.markings, delta))
-            assert [relabel_monomial(c.apart, phi) for c in cols[block.col_start:block.col_stop]] == list(
+            assert [relabel_monomial(c.monomial.a_part(), phi) for c in cols[block.col_start:block.col_stop]] == list(
                 cluster_monomials(ref_ctx, ref_ctx.markings, g - 2 + s - delta))
 
 
@@ -667,7 +669,8 @@ def test_references_value_each_orbit_once_per_run(g, n, monkeypatch):
 
     monkeypatch.setattr(pairing_module, "evaluate_free", recording)
     reference = {}
-    reports = list(all_degree_reports(ctx, ms.__getitem__, ev.table, reference))
+    monkeypatch.setattr(pairing_module, "_REFERENCES", reference)
+    reports = list(all_degree_reports(ctx, ms.__getitem__))
     monkeypatch.undo()
     assert valued and len(set(valued)) == len(valued)
     direct = {}
@@ -679,11 +682,52 @@ def test_references_value_each_orbit_once_per_run(g, n, monkeypatch):
             keys = packed_keys(RingContext(g, len(S)))
             for r in m.rows[block.row_start:block.row_stop]:
                 for c in m.cols[block.col_start:block.col_stop]:
-                    prod = r.apart * c.apart
+                    prod = r.monomial.a_part() * c.monomial.a_part()
                     if (S, prod) not in direct:
                         direct[S, prod] = evaluate_free(ctx, ev.table, prod, markings=S)
                     key = keys.key(relabel_monomial(prod, phi))
-                    assert reference[len(S)][0][key] == direct[S, prod]
+                    assert reference[ev.table, len(S)][0][key] == direct[S, prod]
+
+
+G4_TABLE = KappaTable(4, {(2,): 1, (1, 1): F(32, 3)})
+G4_OTHER = KappaTable(4, {(2,): 1, (1, 1): F(7, 5)})
+
+
+def _all_reports(g, n, table=None):
+    ctx = RingContext(g, n)
+    ev = Evaluator(ctx, table)
+    return list(all_degree_reports(ctx, lambda k: pairing_matrix(ctx, k, ev)))
+
+
+@pytest.mark.parametrize("first,second", [
+    ((2, 4, None), (3, 4, None)),
+    ((4, 3, G4_TABLE), (4, 3, G4_OTHER)),
+])
+def test_reports_do_not_depend_on_earlier_runs(first, second, monkeypatch):
+    """The references of a process are keyed by table and |S|, so a run
+    after one of another genus, or of the same genus with another table,
+    reports what it reports in a fresh process."""
+    monkeypatch.setattr(pairing_module, "_REFERENCES", {})
+    _all_reports(*first)
+    after = _all_reports(*second)
+    monkeypatch.setattr(pairing_module, "_REFERENCES", {})
+    assert after == _all_reports(*second)
+
+
+def test_all_degree_reports_value_references_with_the_matrix_table():
+    # no check is handed a table: at g = 4 there is no built-in one
+    reports = sorted(_all_reports(4, 3, G4_TABLE), key=lambda r: r.k)
+    assert [r.matrix_rank for r in reports] == [1, 8, 19, 19, 8, 1]
+    assert all(r.ok for r in reports)
+
+
+def test_kappa_tables_are_equal_by_genus_and_values():
+    assert KappaTable.builtin(3) == KappaTable.builtin(3)
+    assert hash(KappaTable.builtin(3)) == hash(KappaTable.builtin(3))
+    assert KappaTable(4, {(2,): 1, (1, 1): F(32, 3)}) == G4_TABLE
+    assert G4_TABLE != G4_OTHER
+    assert KappaTable.builtin(2) != KappaTable.builtin(3)
+    assert KappaTable.builtin(2) != ((), F(1))
 
 
 def test_pairing_matrix_rejects_an_evaluator_of_another_ring():
