@@ -10,15 +10,19 @@ configuration problems, 3 the rewriter gave up (step budget or cycle).
 Output is deterministic byte for byte: JSON is emitted with sorted keys and
 carries no timing, and the multiprocess fill path looks each entry up by the
 text of the first product of its orbit, whichever worker valued it.
+
+Output is written to stdout as it is encoded, never held as one text, and
+only after the computation has ended, so a command stopped by an error
+prints nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from itertools import islice
 from typing import Optional
 
 from . import __version__
@@ -36,15 +40,22 @@ from .pairing import (
 from .rewrite import NonTermination, Normalizer
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+# JSON pieces joined per write: one write per piece is slow on an
+# unbuffered stdout, and joining all of them would hold the whole text.
+_JSON_BATCH = 2048
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_json(obj) -> None:
+    """Write ``obj`` as sorted JSON indented by 2, then a newline, one batch
+    of encoded pieces at a time."""
+    pieces = json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj)
+    while chunk := "".join(islice(pieces, _JSON_BATCH)):
+        sys.stdout.write(chunk)
+    sys.stdout.write("\n")
+
+
+def _csv_writer():
+    return csv.writer(sys.stdout, lineterminator="\n")
 
 
 # Name of the one marking-set rule (root minima plus uncovered markings),
@@ -87,7 +98,7 @@ def _cmd_enumerate(args) -> int:
             raise GrammarError("--dpart must only contain D(...) factors")
         basis = [sm for sm in basis if sm.dpart == want]
     if args.format == "json":
-        text = _json_text({
+        _write_json({
             "command": "enumerate",
             "count": len(basis),
             "g": ctx.g,
@@ -105,20 +116,38 @@ def _cmd_enumerate(args) -> int:
             "n": ctx.n,
         })
     elif args.format == "csv":
-        rows = [["monomial", "dpart", "p", "S"]]
-        rows += [
-            [repr(sm.monomial), repr(sm.dpart), sm.p, " ".join(map(str, sorted(sm.S)))]
-            for sm in basis
-        ]
-        text = _csv_text(rows)
+        writer = _csv_writer()
+        writer.writerow(["monomial", "dpart", "p", "S"])
+        for sm in basis:
+            writer.writerow([repr(sm.monomial), repr(sm.dpart), sm.p,
+                             " ".join(map(str, sorted(sm.S)))])
     else:
-        text = "".join(repr(sm.monomial) + "\n" for sm in basis)
-    sys.stdout.write(text)
+        sys.stdout.write("".join(repr(sm.monomial) + "\n" for sm in basis))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # pairing
+
+
+def _entry_texts(matrix) -> list[list[str]]:
+    """The entries of ``matrix`` as text, each distinct value object formatted
+    once, so entries that are one object share one ``str``.
+
+    Keyed by ``id``, which is sound because ``matrix.entries`` keeps every
+    value alive meanwhile; the fill shares one value object per S_n orbit.
+    """
+    texts: dict[int, str] = {}
+    out = []
+    for row in matrix.entries:
+        line = []
+        for v in row:
+            t = texts.get(id(v))
+            if t is None:
+                t = texts[id(v)] = str(v)
+            line.append(t)
+        out.append(line)
+    return out
 
 
 def _matrix_payload(matrix) -> dict:
@@ -132,7 +161,7 @@ def _matrix_payload(matrix) -> dict:
             for b in matrix.blocks
         ],
         "cols": [repr(sm.monomial) for sm in matrix.cols],
-        "entries": [[str(v) for v in row] for row in matrix.entries],
+        "entries": _entry_texts(matrix),
         "g": matrix.ctx.g,
         "k": matrix.k,
         "mode": MODE,
@@ -142,16 +171,21 @@ def _matrix_payload(matrix) -> dict:
     }
 
 
-def _pairing_render(args, ctx: RingContext, table: KappaTable) -> str:
+def _cmd_pairing(args) -> int:
+    ctx = _context(args)
+    table = _table(args, ctx)
     matrix = pairing_matrix(ctx, args.k, _evaluator(args, ctx, table), args.parallelism)
     if args.format == "json":
-        return _json_text({"command": "pairing", **_matrix_payload(matrix)})
+        _write_json({"command": "pairing", **_matrix_payload(matrix)})
+        return 0
+    texts = _entry_texts(matrix)
     if args.format == "csv":
-        rows = [[""] + [repr(sm.monomial) for sm in matrix.cols]]
-        for sm, row in zip(matrix.rows, matrix.entries):
-            rows.append([repr(sm.monomial)] + [str(v) for v in row])
-        return _csv_text(rows)
-    lines = [
+        writer = _csv_writer()
+        writer.writerow([""] + [repr(sm.monomial) for sm in matrix.cols])
+        for sm, row in zip(matrix.rows, texts):
+            writer.writerow([repr(sm.monomial), *row])
+        return 0
+    head = [
         f"pairing g={ctx.g} n={ctx.n} k={args.k} mode={MODE} "
         f"rank={matrix.rank()}",
         f"rows ({len(matrix.rows)}): "
@@ -159,14 +193,9 @@ def _pairing_render(args, ctx: RingContext, table: KappaTable) -> str:
         f"cols ({len(matrix.cols)}): "
         + "; ".join(repr(sm.monomial) for sm in matrix.cols),
     ]
-    lines += [" ".join(str(v) for v in row) for row in matrix.entries]
-    return "".join(line + "\n" for line in lines)
-
-
-def _cmd_pairing(args) -> int:
-    ctx = _context(args)
-    table = _table(args, ctx)
-    sys.stdout.write(_pairing_render(args, ctx, table))
+    sys.stdout.write("".join(line + "\n" for line in head))
+    for row in texts:
+        sys.stdout.write(" ".join(row) + "\n")
     return 0
 
 
@@ -271,8 +300,10 @@ def _cmd_verify(args) -> int:
     ctx = _context(args)
     table = _table(args, ctx)
     data = _verify_data(args, ctx, table)
-    text = _json_text(data) if args.format == "json" else _verify_text(data)
-    sys.stdout.write(text)
+    if args.format == "json":
+        _write_json(data)
+    else:
+        sys.stdout.write(_verify_text(data))
     return 0 if data["ok"] else 1
 
 
@@ -289,7 +320,7 @@ def _cmd_normalize(args) -> int:
         normal, cert = normalizer.normalize(poly, record=True)
         verified = cert.verify(poly, normal)
         if args.format == "json":
-            text = _json_text({
+            _write_json({
                 "command": "normalize",
                 "input": repr(poly),
                 "normal_form": repr(normal),
@@ -305,19 +336,17 @@ def _cmd_normalize(args) -> int:
                     f"quotient={d['quotient']} coeff={d['coeff']}"
                 )
             lines.append(f"certificate: {'verified' if verified else 'MISMATCH'}")
-            text = "".join(line + "\n" for line in lines)
-        sys.stdout.write(text)
+            sys.stdout.write("".join(line + "\n" for line in lines))
         return 0 if verified else 1
     normal = normalizer.normalize(poly)
     if args.format == "json":
-        text = _json_text({
+        _write_json({
             "command": "normalize",
             "input": repr(poly),
             "normal_form": repr(normal),
         })
     else:
-        text = repr(normal) + "\n"
-    sys.stdout.write(text)
+        sys.stdout.write(repr(normal) + "\n")
     return 0
 
 

@@ -2,13 +2,16 @@ import hashlib
 import io
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from tautring import cli
 from tautring.cli import main
+from tautring.rewrite import NonTermination
 
-from conftest import forced_positions, with_entries
+from conftest import forced_positions, get_matrices, with_entries
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -71,6 +74,24 @@ def test_enumerate_rejects_degree_out_of_range(capsys, k):
     assert out == ""
     assert err == f"tautring: degree {k} outside 0..3\n"
     assert enumerate_basis(RingContext(2, 3), int(k)) == []
+
+
+# sha256 of enumerate stdout, taken while the CSV and JSON texts were built
+# whole before they were written: writing them as they are encoded must not
+# change a byte.
+ENUMERATE_SHA256 = {
+    ("--g", "3", "--n", "5", "--k", "3", "--format", "json"):
+        "9787a54988b37271ad9f73dd0736759e30543e9e9b16d709dabb8e7419526c0a",
+    ("--g", "3", "--n", "5", "--k", "3", "--format", "csv"):
+        "024ba05679001b5ec1bb0af91344ca3125b221998a9a2746cac10ade5bdb7d8b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ENUMERATE_SHA256))
+def test_enumerate_output_bytes_pinned(capsys, argv):
+    rc, out, _ = run(capsys, ["enumerate", *argv])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[argv]
 
 
 def test_set_s_mode_is_usage_error(capsys):
@@ -242,6 +263,8 @@ def test_verify_high_degree_bytes_pinned(capsys, g, n, k):
 # sha256 of pairing stdout, taken while every product of the fill was
 # built and canonicalized: valuing one product per S_n orbit and reading the
 # rest off packed keys must not change a byte, with or without the pool.
+# The (3, 4, 2) text and CSV pins were taken while each entry was formatted
+# on its own and the output built whole before it was written.
 PAIRING_SHA256 = {
     ("--g", "3", "--n", "4", "--k", "2", "--format", "json"):
         "e5a2eb702c41256360552ac268bb8e0291136ab01ed287a14ad1abe1e3f0f358",
@@ -249,6 +272,10 @@ PAIRING_SHA256 = {
         "e5a2eb702c41256360552ac268bb8e0291136ab01ed287a14ad1abe1e3f0f358",
     ("--g", "2", "--n", "5", "--k", "2", "--format", "csv"):
         "cefaa470f687548f1ae4f9254bc12ee9ea01c9ba40df187f6921dc1758276a02",
+    ("--g", "3", "--n", "4", "--k", "2", "--format", "text"):
+        "da47ec5e6a917d02529a0a892dedb0acd5428012c394f788c6f92e6dd1cb19de",
+    ("--g", "3", "--n", "4", "--k", "2", "--format", "csv"):
+        "be0ea3c01903bfdff05a65bfde28b445f6365a7aee1e9718d4900d93d9ed840f",
 }
 
 
@@ -257,6 +284,92 @@ def test_pairing_output_bytes_pinned(capsys, argv):
     rc, out, _ = run(capsys, ["pairing", *argv])
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PAIRING_SHA256[argv]
+
+
+# -- output writing --------------------------------------------------------------
+
+
+class _Writes:
+    """A stdout that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+
+
+class _Discard:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, s):
+        self.size += len(s)
+
+
+@pytest.mark.parametrize("obj", [{}, [], {"a": [], "b": {}}])
+def test_write_json_prints_what_dumps_prints(capsys, obj):
+    cli._write_json(obj)
+    assert capsys.readouterr().out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_write_json_writes_batches(monkeypatch):
+    obj = {"rows": [[str(i), {"z": i, "a": None}] for i in range(5 * cli._JSON_BATCH)]}
+    out = _Writes()
+    monkeypatch.setattr("sys.stdout", out)
+    cli._write_json(obj)
+    assert "".join(out.writes) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert len(out.writes) > 5
+
+
+def test_write_json_does_not_hold_its_text(monkeypatch):
+    # ~3.6 MB of JSON: streamed, the peak is a few batches; json.dumps holds
+    # every piece and then the joined text
+    payload = [["0"] * 1000 for _ in range(400)]
+    out = _Discard()
+    monkeypatch.setattr("sys.stdout", out)
+    tracemalloc.start()
+    try:
+        cli._write_json(payload)
+        streamed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        text = json.dumps(payload, sort_keys=True, indent=2)
+        dumped = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.size == len(text) + 1
+    assert streamed < len(text) / 10
+    assert dumped > len(text)
+
+
+def test_entry_texts_share_one_string_per_value_object():
+    _, _, matrices = get_matrices(2, 3)
+    matrix = matrices[1]
+    texts = cli._entry_texts(matrix)
+    by_value = {}
+    for row, text_row in zip(matrix.entries, texts):
+        for v, t in zip(row, text_row):
+            assert t == str(v)
+            assert by_value.setdefault(id(v), t) is t
+    assert len(by_value) < sum(map(len, matrix.entries))
+
+
+@pytest.mark.parametrize("argv", [
+    ["pairing", "--g", "2", "--n", "3", "--k", "1", "--format", "json"],
+    ["pairing", "--g", "2", "--n", "3", "--k", "1", "--format", "csv"],
+    ["verify", "--g", "2", "--n", "3", "--format", "json"],
+])
+def test_error_leaves_stdout_empty(capsys, monkeypatch, argv):
+    def gives_up(self, m):
+        raise NonTermination("step budget exhausted")
+
+    monkeypatch.setattr("tautring.evaluate.Evaluator.evaluate_monomial", gives_up)
+    rc, out, err = run(capsys, argv)
+    assert rc == 3
+    assert out == ""
+    assert "step budget exhausted" in err
 
 
 # sha256 of `normalize --emit-certificate` stdout, taken before the
