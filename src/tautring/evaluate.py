@@ -155,14 +155,13 @@ class KappaTable:
         return tuple(sorted(self._values.items()))
 
 
-def socle_monomial(ctx: RingContext, markings: Optional[Iterable[int]] = None) -> tuple[Fraction, Monomial]:
+def socle_monomial(ctx: RingContext) -> tuple[Fraction, Monomial]:
     """The socle generator as ``(scalar, monomial)``.
 
     The class is the top kappa class times every marking's ``K``; in genus 2
     the kappa factor is the degree-0 scalar ``2g - 2``.
     """
-    marks = tuple(sorted(markings)) if markings is not None else ctx.markings
-    pairs = [(point_k(i), 1) for i in marks]
+    pairs = [(point_k(i), 1) for i in ctx.markings]
     if ctx.g == 2:
         return Fraction(ctx.kappa_zero), Monomial.from_pairs(pairs)
     pairs.append((kappa(ctx.g - 2), 1))

@@ -7,9 +7,10 @@ block per admissible exceptional part ``P`` in layout order: its rows have
 exceptional part ``P`` and its columns the *dual* part ``dual(P)``
 (exponents reflected through their budgets).  Since the product commutes,
 block ``P`` of degree ``top - k`` is the transpose of block ``dual(P)`` of
-degree ``k``, and :func:`dual_matrix` reads the whole degree ``top - k``
-matrix off the degree ``k`` one; :func:`dual_conjecture_check` reads its
-block reports and rank off those of degree ``k``.
+degree ``k``, and :func:`dual_conjecture_check` reads the whole degree
+``top - k`` report (blocks, block reports, vanishing violations and rank)
+off the degree ``k`` matrix and report, so no degree ``top - k`` matrix is
+laid out or built.
 
 The fill values one product per orbit of the symmetric group on the
 markings, not one per entry.  Relabelling the markings is a ring
@@ -146,13 +147,18 @@ def _layout(ctx: RingContext, k: int):
         brows = forest_basis(ctx, forest, k)
         bcols = forest_basis(ctx, dual_forest(forest), ctx.top_degree - k)
         if brows or bcols:
-            blocks.append(PairingBlock(
-                dpart_monomial(forest), forest, tuple(sorted(marking_set(ctx, forest))),
-                len(rows), len(rows) + len(brows), len(cols), len(cols) + len(bcols),
-            ))
+            blocks.append(_block(ctx, forest, len(rows), len(brows), len(cols), len(bcols)))
             rows += brows
             cols += bcols
     return tuple(rows), tuple(cols), tuple(blocks)
+
+
+def _block(ctx: RingContext, forest: ExceptionalForest, row_start, n_rows, col_start, n_cols):
+    """Block ``forest`` of ``n_rows`` rows and ``n_cols`` columns from the given starts."""
+    return PairingBlock(
+        dpart_monomial(forest), forest, tuple(sorted(marking_set(ctx, forest))),
+        row_start, row_start + n_rows, col_start, col_start + n_cols,
+    )
 
 
 def pairing_matrix(ctx: RingContext, k: int, evaluator: Optional[Evaluator] = None,
@@ -201,36 +207,6 @@ def _orbit_fill(keys, rows, cols, value, memo):
             row.append(v)
         out.append(tuple(row))
     return tuple(out)
-
-
-def dual_matrix(matrix: PairingMatrix) -> PairingMatrix:
-    """The pairing matrix of degree ``top - k``, read off the one of degree ``k``.
-
-    The product commutes, so the entry for row ``r`` and column ``c`` of
-    degree ``top - k`` is the entry for row ``c`` and column ``r`` of degree
-    ``k``: the result is a permuted transpose, with no product evaluated.
-    The layout is built afresh; a row or column that has no counterpart in
-    ``matrix`` raises ``ValueError``, so a layout mismatch cannot go unseen.
-    """
-    ctx = matrix.ctx
-    k = ctx.top_degree - matrix.k
-    rows, cols, blocks = _layout(ctx, k)
-    row_of = {sm.monomial: i for i, sm in enumerate(matrix.rows)}
-    col_of = {sm.monomial: j for j, sm in enumerate(matrix.cols)}
-    if len(rows) != len(col_of) or len(cols) != len(row_of):
-        raise ValueError(
-            f"degree {k} layout is {len(rows)}x{len(cols)}, "
-            f"the transpose of degree {matrix.k} is {len(col_of)}x{len(row_of)}"
-        )
-    try:
-        src_rows = [matrix.entries[row_of[c.monomial]] for c in cols]
-        src_cols = [col_of[r.monomial] for r in rows]
-    except KeyError as err:
-        raise ValueError(
-            f"{err.args[0]!r} is not in the degree {matrix.k} layout"
-        ) from None
-    entries = tuple(tuple(row[j] for row in src_rows) for j in src_cols)
-    return PairingMatrix(ctx, k, rows, cols, entries, blocks, matrix.table)
 
 
 def _parallel_entries(ctx, evaluator, rows, cols, parallelism):
@@ -387,11 +363,10 @@ def _reference_pairing(table: KappaTable, s: int, delta: int):
     return pairing
 
 
-def _compare_block(matrix: PairingMatrix, block: PairingBlock) -> BlockConstantReport:
-    ref, reference_rank = _reference_pairing(
-        matrix.table, len(block.S), matrix.k - block.label.degree
-    )
-    sub = matrix.submatrix(block)
+def _compare_block(ctx: RingContext, table: KappaTable, k: int, block: PairingBlock,
+                   sub: list[list[Fraction]]) -> BlockConstantReport:
+    """The report of ``block`` of degree ``k``, whose entries are ``sub``."""
+    ref, reference_rank = _reference_pairing(table, len(block.S), k - block.label.degree)
     constant = next(
         (x / v for xs, vs in zip(sub, ref) for x, v in zip(xs, vs) if v), None
     )
@@ -403,7 +378,7 @@ def _compare_block(matrix: PairingMatrix, block: PairingBlock) -> BlockConstantR
         block_rank = exact_rank(sub)
     else:
         block_rank = reference_rank if constant else 0
-    return _block_report(matrix.ctx, block, constant, proportional, block_rank, reference_rank)
+    return _block_report(ctx, block, constant, proportional, block_rank, reference_rank)
 
 
 def block_constant_reports(matrix: PairingMatrix) -> list[BlockConstantReport]:
@@ -430,7 +405,10 @@ def block_constant_reports(matrix: PairingMatrix) -> list[BlockConstantReport]:
     so its rank is the reference rank when ``c != 0`` and 0 otherwise; only
     a block that is not proportional is ranked itself.
     """
-    return [_compare_block(matrix, block) for block in matrix.blocks]
+    return [
+        _compare_block(matrix.ctx, matrix.table, matrix.k, block, matrix.submatrix(block))
+        for block in matrix.blocks
+    ]
 
 
 @dataclass(frozen=True)
@@ -472,38 +450,58 @@ def conjecture_check(matrix: PairingMatrix) -> ConjectureReport:
 
 
 def dual_conjecture_check(matrix: PairingMatrix, report: ConjectureReport) -> ConjectureReport:
-    """The report of degree ``top - k``, read off ``report``, the report of
-    ``matrix`` (degree ``k``), on its :func:`dual_matrix`.
+    """The report of degree ``top - k``, read off ``matrix`` (degree ``k``)
+    and its ``report``, with no degree ``top - k`` matrix built.
 
-    Block ``P`` of degree ``top - k`` is the transpose of block ``dual(P)``
-    of degree ``k``; both have the marking set of ``P``, and the reference
-    entry ``a * a'`` is symmetric.  So when block ``dual(P)`` is
-    proportional, block ``P`` is too, with the same constant, block rank and
-    reference rank; and the matrix rank is that of degree ``k``, since
-    ``rank M^T = rank M``.  The label (``P``, not ``dual(P)``), marking
-    set, sign exponent and rule constants come from block ``P`` itself.  A
-    block whose partner is not proportional is compared directly: there the
-    first nonzero in row-major order, and so the constant, can change under
-    transposition.  The vanishing rule is checked on the degree ``top - k``
-    matrix itself.
+    The product commutes, so block ``P`` of degree ``top - k`` is the
+    transpose of block ``dual(P)`` of degree ``k``; the blocks come in the
+    order of ``P`` in :func:`~tautring.forest.admissible_dparts`, and a dual
+    part that is not there raises ``ValueError``.  Both blocks have the
+    marking set of ``P``, and the reference entry ``a * a'`` is symmetric,
+    so a block whose partner is proportional is too, with the partner's
+    constant, block rank and reference rank; its label, sign exponent and
+    rule constants are its own.  A block whose partner is not proportional
+    is compared on the transposed submatrix, since the first nonzero in
+    row-major order, and so the constant, can change under transposition.
+    The matrix rank is that of degree ``k``: ``rank M^T = rank M``.
+
+    The vanishing rule of :func:`verify_triangular` forces an entry when its
+    condition holds in one orientation or the other, so swapping row and
+    column leaves it unchanged: the violations of degree ``top - k`` are
+    those of degree ``k``, transposed and listed in row-major order.
     """
-    dual = dual_matrix(matrix)
-    partners = {b.forest: r for b, r in zip(matrix.blocks, report.block_reports)}
+    ctx = matrix.ctx
+    k = ctx.top_degree - matrix.k
+    position = {forest: i for i, forest in enumerate(admissible_dparts(ctx))}
+    try:
+        partners = sorted(zip(matrix.blocks, report.block_reports),
+                          key=lambda pair: position[dual_forest(pair[0].forest)])
+    except KeyError as err:
+        raise ValueError(f"{err.args[0]!r} is not in the degree {k} layout") from None
+    row_of = [0] * len(matrix.cols)
+    col_of = [0] * len(matrix.rows)
     block_reports = []
-    for block in dual.blocks:
-        p = partners[dual_forest(block.forest)]
+    row_stop = col_stop = 0
+    for b, p in partners:
+        block = _block(ctx, dual_forest(b.forest), row_stop, b.n_cols, col_stop, b.n_rows)
+        row_stop, col_stop = block.row_stop, block.col_stop
+        row_of[b.col_start:b.col_stop] = range(block.row_start, block.row_stop)
+        col_of[b.row_start:b.row_stop] = range(block.col_start, block.col_stop)
         if p.proportional:
             block_reports.append(_block_report(
-                dual.ctx, block, p.constant, True, p.block_rank, p.reference_rank
+                ctx, block, p.constant, True, p.block_rank, p.reference_rank
             ))
         else:
-            block_reports.append(_compare_block(dual, block))
+            sub = [list(col) for col in zip(*matrix.submatrix(b))]
+            block_reports.append(_compare_block(ctx, matrix.table, k, block, sub))
     return ConjectureReport(
-        k=dual.k,
-        n_rows=len(dual.rows),
-        n_cols=len(dual.cols),
+        k=k,
+        n_rows=len(matrix.cols),
+        n_cols=len(matrix.rows),
         matrix_rank=report.matrix_rank,
-        triangle_violations=verify_triangular(dual),
+        triangle_violations=tuple(sorted(
+            (row_of[j], col_of[i], v) for i, j, v in report.triangle_violations
+        )),
         block_reports=tuple(block_reports),
     )
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -20,14 +19,12 @@ from tautring import (
 )
 from tautring.core import packed_keys, relabel_monomial
 from tautring.linalg import exact_rank
-from tautring.forest import cluster_monomials, dpart_monomial, dual_forest
+from tautring.forest import admissible_dparts, cluster_monomials, dpart_monomial, dual_forest
 from tautring import pairing as pairing_module
 from tautring.pairing import (
-    PairingMatrix,
     all_degree_reports,
     block_constant_reports,
     dual_conjecture_check,
-    dual_matrix,
     is_gorenstein,
 )
 
@@ -480,20 +477,17 @@ def test_block_of_degree_top_minus_k_is_transpose_of_dual_block(g, n):
             assert m.submatrix(p) == [list(col) for col in zip(*t.submatrix(d))]
 
 
-def _assert_same_matrix(a, b):
-    for field in dataclasses.fields(PairingMatrix):
-        assert getattr(a, field.name) == getattr(b, field.name), field.name
-
-
-@pytest.mark.parametrize("g,n", [(2, 3), (2, 4), (3, 3), (3, 4)])
-def test_dual_matrix_equals_filled_matrix(g, n):
-    """The matrix read off degree k by transposition is the one filled for
-    degree top - k, and the all-degree loop fills only k <= top / 2 (the
-    middle degree of an even top included) and reads the rest off."""
+@pytest.mark.parametrize("g,n", [(g, n) for g in (2, 3) for n in (1, 2, 3, 4)])
+def test_reports_read_off_by_transposition_equal_computed_ones(g, n):
+    """The report of degree top - k read off degree k equals the one
+    computed on the degree top - k matrix, in every degree, and the
+    all-degree loop fills only k <= top / 2 (the middle degree of an even
+    top included), reads the rest off and yields one report per degree."""
     ctx, ev, ms = get_matrices(g, n)
     top = ctx.top_degree
-    for m in ms:
-        _assert_same_matrix(dual_matrix(m), ms[top - m.k])
+    computed = [conjecture_check(m) for m in ms]
+    for m, report in zip(ms, computed):
+        assert dual_conjecture_check(m, report) == computed[top - m.k]
     filled = []
 
     def fill(k):
@@ -503,43 +497,24 @@ def test_dual_matrix_equals_filled_matrix(g, n):
     got = list(all_degree_reports(ctx, fill))
     assert filled == list(range(top // 2 + 1))
     assert [r.k for r in got] == [k for f in filled for k in dict.fromkeys((f, top - f))]
-
-
-@pytest.mark.parametrize("change", ["dropped", "added", "replaced"])
-def test_dual_matrix_rejects_layout_mismatch(change):
-    ctx, ev, ms = get_matrices(2, 3)
-    m = ms[1]
-    stray = ms[0].rows[0]
-    if change == "dropped":
-        bad = dataclasses.replace(m, rows=m.rows[1:], entries=m.entries[1:])
-    elif change == "added":
-        bad = dataclasses.replace(m, rows=m.rows + (stray,),
-                                  entries=m.entries + (m.entries[0],))
-    else:
-        bad = dataclasses.replace(m, rows=(stray,) + m.rows[1:])
-    with pytest.raises(ValueError):
-        dual_matrix(bad)
-
-
-@pytest.mark.parametrize("g,n", [(g, n) for g in (2, 3) for n in (1, 2, 3, 4)])
-def test_reports_read_off_by_transposition_equal_computed_ones(g, n):
-    """The report of degree top - k read off degree k equals the one
-    computed on the degree top - k matrix, in every degree, and the
-    all-degree loop yields one report per degree."""
-    ctx, ev, ms = get_matrices(g, n)
-    top = ctx.top_degree
-    computed = [conjecture_check(m) for m in ms]
-    for m, report in zip(ms, computed):
-        assert dual_conjecture_check(m, report) == computed[top - m.k]
-    got = list(all_degree_reports(ctx, ms.__getitem__))
-    assert sorted(r.k for r in got) == list(range(top + 1))
     for report in got:
         assert report == computed[report.k]
 
 
+def _transposed(m, t, changes):
+    """``changes`` to entries of ``m`` (degree k), moved to the transposed
+    positions in ``t``, the filled matrix of degree top - k, found by
+    monomial."""
+    row_of = {r.monomial: i for i, r in enumerate(t.rows)}
+    col_of = {c.monomial: j for j, c in enumerate(t.cols)}
+    return {(row_of[m.cols[j].monomial], col_of[m.rows[i].monomial]): v
+            for (i, j), v in changes.items()}
+
+
 def test_report_of_a_non_proportional_partner_is_computed():
     """A block whose degree-k partner is not proportional is compared on
-    the transposed matrix itself, not read off."""
+    its transposed submatrix, not read off: its report is the one computed
+    on the filled degree top - k with the same entry changed."""
     ctx, ev, ms = get_matrices(2, 3)
     m = ms[1]
     b = next(b for b in m.blocks if b.n_rows > 1 and b.n_cols > 1)
@@ -549,12 +524,49 @@ def test_report_of_a_non_proportional_partner_is_computed():
         for j in range(b.col_start, b.col_stop)
         if m.entries[i][j]
     )
-    bad = with_entries(m, {(i, j): 2 * m.entries[i][j]})
+    changes = {(i, j): 2 * m.entries[i][j]}
+    bad = with_entries(m, changes)
     report = conjecture_check(bad)
     assert not all(r.proportional for r in report.block_reports)
     read = dual_conjecture_check(bad, report)
-    assert read == conjecture_check(dual_matrix(bad))
+    t = ms[ctx.top_degree - m.k]
+    assert read == conjecture_check(with_entries(t, _transposed(m, t, changes)))
     assert not read.ok
+
+
+@pytest.mark.parametrize("g,n", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_read_off_triangle_violations_are_the_transposed_ones(g, n):
+    """With the first, a middle and the last forced-zero entry of degree k
+    set, the violations (row, column, value) read off degree k, and the rest
+    of the report, are the ones computed on the filled degree top - k with
+    the same values at the transposed positions, in every degree."""
+    ctx, ev, ms = get_matrices(g, n)
+    tampered = 0
+    for m in ms:
+        forced = forced_positions(m)
+        if not forced:
+            continue
+        picks = dict.fromkeys([forced[0], forced[len(forced) // 2], forced[-1]])
+        changes = {pos: F(v) for v, pos in enumerate(picks, start=1)}
+        bad = with_entries(m, changes)
+        read = dual_conjecture_check(bad, conjecture_check(bad))
+        assert len(read.triangle_violations) == len(changes)
+        t = ms[ctx.top_degree - m.k]
+        assert read == conjecture_check(with_entries(t, _transposed(m, t, changes)))
+        tampered += 1
+    assert tampered >= 2
+
+
+def test_a_block_whose_dual_part_is_missing_raises(monkeypatch):
+    """A degree-k block whose dual part has no place in the layout stops
+    the read-off; its rows are not dropped."""
+    ctx, ev, ms = get_matrices(2, 3)
+    m = ms[1]
+    missing = dual_forest(m.blocks[-1].forest)
+    parts = tuple(f for f in admissible_dparts(ctx) if f != missing)
+    monkeypatch.setattr(pairing_module, "admissible_dparts", lambda ctx: parts)
+    with pytest.raises(ValueError, match="not in the degree 2 layout"):
+        dual_conjecture_check(m, conjecture_check(m))
 
 
 # -- duality of classes ----------------------------------------------------------------
