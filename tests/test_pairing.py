@@ -477,17 +477,26 @@ def test_block_of_degree_top_minus_k_is_transpose_of_dual_block(g, n):
             assert m.submatrix(p) == [list(col) for col in zip(*t.submatrix(d))]
 
 
-@pytest.mark.parametrize("g,n", [(g, n) for g in (2, 3) for n in (1, 2, 3, 4)])
-def test_reports_read_off_by_transposition_equal_computed_ones(g, n):
-    """The report of degree top - k read off degree k equals the one
-    computed on the degree top - k matrix, in every degree, and the
-    all-degree loop fills only k <= top / 2 (the middle degree of an even
-    top included), reads the rest off and yields one report per degree."""
+@pytest.mark.parametrize("g,n", [(2, 3), (2, 4), (3, 3), (3, 4)])
+def test_dual_matrix_equals_filled_matrix(g, n):
+    """The matrix of degree top - k read off degree k by transposition (the
+    blocks of degree k in the layout order of their dual parts, rows and
+    columns swapped) is the one filled for degree top - k, entry by entry,
+    and the all-degree loop fills only k <= top / 2 (the middle degree of an
+    even top included) and reads the rest off."""
     ctx, ev, ms = get_matrices(g, n)
     top = ctx.top_degree
-    computed = [conjecture_check(m) for m in ms]
-    for m, report in zip(ms, computed):
-        assert dual_conjecture_check(m, report) == computed[top - m.k]
+    position = {forest: i for i, forest in enumerate(admissible_dparts(ctx))}
+    for m in ms:
+        t = ms[top - m.k]
+        partners = sorted(m.blocks, key=lambda b: position[dual_forest(b.forest)])
+        assert [dual_forest(b.forest) for b in partners] == [d.forest for d in t.blocks]
+        rows = [j for b in partners for j in range(b.col_start, b.col_stop)]
+        cols = [i for b in partners for i in range(b.row_start, b.row_stop)]
+        assert [m.cols[j].monomial for j in rows] == _monomials(t.rows)
+        assert [m.rows[i].monomial for i in cols] == _monomials(t.cols)
+        assert [[m.entries[i][j] for i in cols] for j in rows] \
+            == [list(row) for row in t.entries]
     filled = []
 
     def fill(k):
@@ -497,6 +506,20 @@ def test_reports_read_off_by_transposition_equal_computed_ones(g, n):
     got = list(all_degree_reports(ctx, fill))
     assert filled == list(range(top // 2 + 1))
     assert [r.k for r in got] == [k for f in filled for k in dict.fromkeys((f, top - f))]
+
+
+@pytest.mark.parametrize("g,n", [(g, n) for g in (2, 3) for n in (1, 2, 3, 4)])
+def test_reports_read_off_by_transposition_equal_computed_ones(g, n):
+    """The report of degree top - k read off degree k equals the one
+    computed on the degree top - k matrix, in every degree, and the
+    all-degree loop yields one report per degree."""
+    ctx, ev, ms = get_matrices(g, n)
+    top = ctx.top_degree
+    computed = [conjecture_check(m) for m in ms]
+    for m, report in zip(ms, computed):
+        assert dual_conjecture_check(m, report) == computed[top - m.k]
+    got = list(all_degree_reports(ctx, ms.__getitem__))
+    assert sorted(r.k for r in got) == list(range(top + 1))
     for report in got:
         assert report == computed[report.k]
 
