@@ -18,6 +18,7 @@ from .core import (
     Monomial,
     Polynomial,
     RingContext,
+    Symbol,
     UNIT,
     check_symbol,
     diag,
@@ -54,18 +55,26 @@ def format_polynomial(p: Polynomial) -> str:
 
 _TOKEN = re.compile(
     r"\s*(?:"
-    r"(?P<kappa>k(?P<ki>\d+))"
-    r"|(?P<point>K(?P<Ki>\d+))"
-    r"|(?P<diag>d\(\s*(?P<di>\d+)\s*,\s*(?P<dj>\d+)\s*\))"
-    r"|(?P<exc>D\(\s*(?P<dset>\d+(?:\s*,\s*\d+)+)\s*\))"
+    r"k(?P<k>\d+)"
+    r"|K(?P<K>\d+)"
+    r"|d\(\s*(?P<d>\d+\s*,\s*\d+)\s*\)"
+    r"|D\(\s*(?P<D>\d+(?:\s*,\s*\d+)+)\s*\)"
     r"|(?P<rat>\d+(?:/\d+)?)"
     r"|(?P<op>[*^+-])"
     r")"
 )
+_DIGITS = re.compile(r"\d+")
+_GENERATOR = {"k": kappa, "K": point_k, "d": diag}
+_TERM_END = (None, "+", "-")
 
 
-def _tokenize(text: str) -> list[tuple[str, object]]:
-    tokens: list[tuple[str, object]] = []
+def _tokenize(ctx: RingContext, text: str) -> list:
+    """Split ``text`` into tokens and append ``None`` to mark the end.
+
+    A generator becomes its ``Symbol``, checked against ``ctx``; a rational
+    becomes a ``Fraction``; an operator stays its character.
+    """
+    tokens: list = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -74,147 +83,87 @@ def _tokenize(text: str) -> list[tuple[str, object]]:
                 break
             raise GrammarError(f"unexpected input at {text[pos:pos + 12]!r}")
         pos = m.end()
-        if m.group("kappa"):
-            tokens.append(("sym", ("k", int(m.group("ki")))))
-        elif m.group("point"):
-            tokens.append(("sym", ("K", int(m.group("Ki")))))
-        elif m.group("diag"):
-            tokens.append(("sym", ("d", int(m.group("di")), int(m.group("dj")))))
-        elif m.group("exc"):
-            members = tuple(int(x) for x in m.group("dset").split(","))
-            tokens.append(("sym", ("D", members)))
-        elif m.group("rat"):
-            try:
-                tokens.append(("rat", Fraction(m.group("rat"))))
-            except ZeroDivisionError:
-                raise GrammarError(f"zero denominator in {m.group('rat')!r}") from None
-        else:
-            tokens.append(("op", m.group("op")))
+        kind, val = m.lastgroup, m.group(m.lastgroup)
+        if kind == "op":
+            tokens.append(val)
+            continue
+        try:
+            if kind == "rat":
+                tokens.append(Fraction(val))
+                continue
+            ints = [int(i) for i in _DIGITS.findall(val)]
+            sym = exc(ints) if kind == "D" else _GENERATOR[kind](*ints)
+            check_symbol(ctx, sym)
+        except ZeroDivisionError:
+            raise GrammarError(f"zero denominator in {val!r}") from None
+        except ValueError as e:
+            raise GrammarError(str(e)) from None
+        tokens.append(sym)
+    tokens.append(None)
     return tokens
 
 
-def _build_symbol(ctx: RingContext, tok: tuple):
-    try:
-        if tok[0] == "k":
-            sym = kappa(tok[1])
-        elif tok[0] == "K":
-            sym = point_k(tok[1])
-        elif tok[0] == "d":
-            sym = diag(tok[1], tok[2])
-        else:
-            sym = exc(tok[1])
-        check_symbol(ctx, sym)
-    except ValueError as e:
-        raise GrammarError(str(e)) from None
-    return sym
+def _present(tok):
+    """Return ``tok``, which the grammar needs; ``None`` is the end of input."""
+    if tok is None:
+        raise GrammarError("unexpected end of input")
+    return tok
 
 
-class _Parser:
-    def __init__(self, ctx: RingContext, tokens: list):
-        self.ctx = ctx
-        self.toks = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        t = self.peek()
-        if t is None:
-            raise GrammarError("unexpected end of input")
-        self.pos += 1
-        return t
-
-    def parse_factor(self) -> tuple[object, int]:
-        kind, val = self.take()
-        if kind != "sym":
-            raise GrammarError(f"expected a generator symbol, got {val!r}")
-        sym = _build_symbol(self.ctx, val)
+def _monomial(toks: list, i: int) -> tuple[Monomial, int]:
+    """Read a monomial from ``toks[i]`` on; return it and the index after it."""
+    if toks[i] == 1:
+        # bare "1" is the unit monomial
+        return UNIT, i + 1
+    pairs = []
+    while True:
+        sym = _present(toks[i])
+        if not isinstance(sym, Symbol):
+            raise GrammarError(f"expected a generator symbol, got {sym!r}")
         e = 1
-        nxt = self.peek()
-        if nxt == ("op", "^"):
-            self.take()
-            k, v = self.take()
-            if k != "rat" or v.denominator != 1:
+        if toks[i + 1] == "^":
+            i += 2
+            e = _present(toks[i])
+            if not isinstance(e, Fraction) or e.denominator != 1 or e < 1:
                 raise GrammarError("exponent must be a positive integer")
-            e = int(v)
-            if e < 1:
-                raise GrammarError("exponent must be a positive integer")
-        return sym, e
-
-    def parse_monomial(self) -> Monomial:
-        t = self.peek()
-        if t == ("rat", Fraction(1)):
-            # bare "1" is the unit monomial
-            self.take()
-            return UNIT
-        pairs = [self.parse_factor()]
-        while self.peek() == ("op", "*"):
-            self.take()
-            pairs.append(self.parse_factor())
-        return Monomial.from_pairs(pairs)
-
-    def parse_term(self) -> tuple[Fraction, Monomial]:
-        coeff = Fraction(1)
-        took_coeff = False
-        t = self.peek()
-        if t is not None and t[0] == "rat":
-            nxt = self.toks[self.pos + 1] if self.pos + 1 < len(self.toks) else None
-            if nxt is not None and nxt == ("op", "^"):
-                pass  # "1 ^ ..." is not valid anyway; let monomial parsing fail
-            else:
-                coeff = self.take()[1]
-                took_coeff = True
-                if self.peek() == ("op", "*"):
-                    self.take()
-                    return coeff, self.parse_monomial()
-        t = self.peek()
-        if t is None or t == ("op", "+") or t == ("op", "-"):
-            if not took_coeff:
-                raise GrammarError("empty term")
-            return coeff, UNIT
-        return coeff, self.parse_monomial()
-
-    def parse_polynomial(self) -> Polynomial:
-        acc: dict[Monomial, Fraction] = {}
-        sign = Fraction(1)
-        t = self.peek()
-        if t == ("op", "-"):
-            self.take()
-            sign = Fraction(-1)
-        elif t == ("op", "+"):
-            self.take()
-        while True:
-            coeff, mon = self.parse_term()
-            coeff *= sign
-            acc[mon] = acc.get(mon, Fraction(0)) + coeff
-            t = self.peek()
-            if t is None:
-                break
-            if t == ("op", "+"):
-                sign = Fraction(1)
-            elif t == ("op", "-"):
-                sign = Fraction(-1)
-            else:
-                raise GrammarError(f"expected '+' or '-', got {t[1]!r}")
-            self.take()
-        return Polynomial(acc)
+        pairs.append((sym, int(e)))
+        if toks[i + 1] != "*":
+            return Monomial.from_pairs(pairs), i + 1
+        i += 2
 
 
 def parse_monomial(ctx: RingContext, text: str) -> Monomial:
-    p = _Parser(ctx, _tokenize(text))
-    m = p.parse_monomial()
-    if p.peek() is not None:
+    toks = _tokenize(ctx, text)
+    m, i = _monomial(toks, 0)
+    if toks[i] is not None:
         raise GrammarError("trailing input after monomial")
     return m
 
 
 def parse_polynomial(ctx: RingContext, text: str) -> Polynomial:
-    text = text.strip()
-    if text == "0":
-        return Polynomial.zero()
-    if not text:
+    toks = _tokenize(ctx, text)
+    if toks[0] is None:
         raise GrammarError("empty input")
-    p = _Parser(ctx, _tokenize(text))
-    poly = p.parse_polynomial()
-    return poly
+    acc: dict[Monomial, Fraction] = {}
+    sign = -1 if toks[0] == "-" else 1
+    i = 1 if toks[0] in ("+", "-") else 0
+    while True:
+        if toks[i] in _TERM_END:
+            raise GrammarError("empty term")
+        coeff = Fraction(1)
+        mon = UNIT
+        if isinstance(toks[i], Fraction):
+            coeff = toks[i]
+            i += 1
+            # followed by '+', '-' or the end, a rational is a constant term
+            if toks[i] not in _TERM_END:
+                mon, i = _monomial(toks, i + (toks[i] == "*"))
+        else:
+            mon, i = _monomial(toks, i)
+        acc[mon] = acc.get(mon, 0) + sign * coeff
+        if toks[i] is None:
+            return Polynomial(acc)
+        if toks[i] not in _TERM_END:
+            raise GrammarError(f"expected '+' or '-', got {toks[i]!r}")
+        sign = -1 if toks[i] == "-" else 1
+        i += 1
