@@ -72,7 +72,8 @@ def _tokenize(ctx: RingContext, text: str) -> list:
     """Split ``text`` into tokens and append ``None`` to mark the end.
 
     A generator becomes its ``Symbol``, checked against ``ctx``; a rational
-    becomes a ``Fraction``; an operator stays its character.
+    becomes an ``int``, or a ``Fraction`` when written with ``/``; an
+    operator stays its character.
     """
     tokens: list = []
     pos = 0
@@ -89,7 +90,7 @@ def _tokenize(ctx: RingContext, text: str) -> list:
             continue
         try:
             if kind == "rat":
-                tokens.append(Fraction(val))
+                tokens.append(Fraction(val) if "/" in val else int(val))
                 continue
             ints = [int(i) for i in _DIGITS.findall(val)]
             sym = exc(ints) if kind == "D" else _GENERATOR[kind](*ints)
@@ -112,7 +113,7 @@ def _present(tok):
 
 def _monomial(toks: list, i: int) -> tuple[Monomial, int]:
     """Read a monomial from ``toks[i]`` on; return it and the index after it."""
-    if toks[i] == 1:
+    if isinstance(toks[i], int) and toks[i] == 1:
         # bare "1" is the unit monomial
         return UNIT, i + 1
     pairs = []
@@ -124,9 +125,9 @@ def _monomial(toks: list, i: int) -> tuple[Monomial, int]:
         if toks[i + 1] == "^":
             i += 2
             e = _present(toks[i])
-            if not isinstance(e, Fraction) or e.denominator != 1 or e < 1:
+            if not isinstance(e, int) or e < 1:
                 raise GrammarError("exponent must be a positive integer")
-        pairs.append((sym, int(e)))
+        pairs.append((sym, e))
         if toks[i + 1] != "*":
             return Monomial.from_pairs(pairs), i + 1
         i += 2
@@ -150,9 +151,9 @@ def parse_polynomial(ctx: RingContext, text: str) -> Polynomial:
     while True:
         if toks[i] in _TERM_END:
             raise GrammarError("empty term")
-        coeff = Fraction(1)
+        coeff = 1
         mon = UNIT
-        if isinstance(toks[i], Fraction):
+        if isinstance(toks[i], (int, Fraction)):
             coeff = toks[i]
             i += 1
             # followed by '+', '-' or the end, a rational is a constant term

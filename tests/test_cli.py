@@ -453,6 +453,16 @@ def test_zero_denominator_is_usage_error(capsys, monkeypatch, argv, stdin):
     assert err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("stdin", ["K1^4/2", "3 2/2"])
+def test_malformed_rational_is_usage_error(capsys, monkeypatch, stdin):
+    # a fractional exponent, and a rational other than 1 as the unit monomial
+    rc, out, err = run(capsys, ["normalize", "--g", "2", "--n", "3"],
+                       stdin=stdin, monkeypatch=monkeypatch)
+    assert rc == 2
+    assert out == ""
+    assert err and "Traceback" not in err
+
+
 def test_normalize_budget_exhaustion(capsys, monkeypatch):
     rc, _, err = run(capsys, ["normalize", "--g", "2", "--n", "3",
                               "--max-rewrite-steps", "1"],

@@ -42,6 +42,7 @@ def test_parse_monomial(text, expected):
 @pytest.mark.parametrize("text", [
     "", "K0", "K4", "d(1,1)", "d(1,4)", "D(1,2)", "D(1,2,4)", "K1^0",
     "K1*", "*K1", "K1 K2", "k2", "2K1", "K1^", "d(1)", "bogus", "K1^1/0",
+    "K1^4/2", "K1^2/1", "2/2", "1/1",
 ])
 def test_parse_monomial_rejects(text):
     with pytest.raises(GrammarError):
@@ -72,7 +73,10 @@ def test_parse_polynomial_values():
     assert p.coeff(Monomial.from_symbols(diag(1, 2))) == -2
 
 
-@pytest.mark.parametrize("text", ["", "+", "K1 +", "1 +- K2", "K1 ^ 2 ^ 3", "2/0 K1", "3/0 K1"])
+@pytest.mark.parametrize("text", [
+    "", "+", "K1 +", "1 +- K2", "K1 ^ 2 ^ 3", "2/0 K1", "3/0 K1",
+    "K1^4/2", "K1^2/1", "3 2/2", "3*2/2", "K1 - 2 4/4",
+])
 def test_parse_polynomial_rejects(text):
     with pytest.raises(GrammarError):
         parse_polynomial(CTX, text)
