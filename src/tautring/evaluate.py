@@ -135,7 +135,8 @@ class KappaTable:
                     raise KappaTableError(f"{path}:{lineno}: expected 'parts=value'")
                 left, right = line.split("=", 1)
                 try:
-                    part = tuple(int(p) for p in left.split(",") if p.strip())
+                    # "=1" is the empty partition (g = 2); no part may be empty
+                    part = tuple(int(p) for p in left.split(",")) if left.strip() else ()
                     val = Fraction(right.strip())
                 except (ValueError, ZeroDivisionError) as err:
                     raise KappaTableError(f"{path}:{lineno}: {err}") from err

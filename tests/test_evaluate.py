@@ -66,6 +66,8 @@ def test_table_load(tmp_path):
     ("2=2\n1,1=7/5\n", "one-part"),            # top partition must be 1
     ("2=oops\n1,1=7/5\n", ":2:"),              # line number in message
     ("just text\n", ":1:"),
+    ("2=1\n1,,1=7/5\n", "bad.tbl:2:"),        # an empty part is not dropped
+    ("2=1\n1,1,=7/5\n", "bad.tbl:2:"),
 ])
 def test_table_load_rejects(tmp_path, body, hint):
     p = tmp_path / "bad.tbl"
@@ -73,6 +75,12 @@ def test_table_load_rejects(tmp_path, body, hint):
     with pytest.raises(KappaTableError) as err:
         KappaTable.load(4, p)
     assert hint.strip(":") in str(err.value) or hint in str(err.value)
+
+
+def test_table_load_empty_partition(tmp_path):
+    p = tmp_path / "g2.tbl"
+    p.write_text(" = 1\n")
+    assert KappaTable.load(2, p) == KappaTable.builtin(2)
 
 
 def test_table_value_rejects_junk():
