@@ -30,6 +30,7 @@ CTX = RingContext(3, 3)
     ("d(1,2)", Monomial.from_symbols(diag(1, 2))),
     ("d(2,1)", Monomial.from_symbols(diag(1, 2))),
     ("D(1,2,3)", Monomial.from_symbols(exc((1, 2, 3)))),
+    ("D(1\x1f, 2,3)", Monomial.from_symbols(exc((1, 2, 3)))),  # \x1f is whitespace
     ("K1^3", Monomial.from_pairs([(point_k(1), 3)])),
     ("K2*K1", Monomial.from_symbols(point_k(1), point_k(2))),
     ("k1*K1^2*d(1,3)", Monomial.from_pairs(
@@ -43,6 +44,8 @@ def test_parse_monomial(text, expected):
     "", "K0", "K4", "d(1,1)", "d(1,4)", "D(1,2)", "D(1,2,4)", "K1^0",
     "K1*", "*K1", "K1 K2", "k2", "2K1", "K1^", "d(1)", "bogus", "K1^1/0",
     "K1^4/2", "K1^2/1", "2/2", "1/1",
+    # past the int conversion limit on Python >= 3.11
+    pytest.param("K" + "1" * 5000, id="K1...1(5000 digits)"),
 ])
 def test_parse_monomial_rejects(text):
     with pytest.raises(GrammarError):
@@ -80,6 +83,23 @@ def test_parse_polynomial_values():
 def test_parse_polynomial_rejects(text):
     with pytest.raises(GrammarError):
         parse_polynomial(CTX, text)
+
+
+_ATOMS = [
+    "k1", "k2", "k0", "K1", "K3", "K4", "K0", "d(1,2)", "d(2,1)", "d(1,1)",
+    "d(1,4)", "D(1,2,3)", "D(3,2,1)", "D(1,2)", "D(1,2,4)", "d(", "D(1,2", "d(1)",
+    "0", "1", "01", "2", "2/2", "4/2", "3/4", "1/0", "0/0",
+    "*", "^", "+", "-", " ", "\t", "\n", "x", "/", ",", "(", ")", "é",
+]
+
+
+@given(st.lists(st.sampled_from(_ATOMS), max_size=12).map("".join))
+def test_parser_raises_only_grammar_error(text):
+    for parse in (parse_monomial, parse_polynomial):
+        try:
+            parse(CTX, text)
+        except GrammarError:
+            pass
 
 
 def test_format_zero_and_constants():
