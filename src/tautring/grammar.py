@@ -5,8 +5,23 @@ the unit monomial prints as ``1``.  Polynomials print as ``+``-joined terms,
 each ``<coefficient> <monomial>`` with exact rational coefficients ``p/q``
 (``/q`` omitted when ``q == 1``, the coefficient omitted when it is 1, the
 monomial omitted for constants).  The zero polynomial prints as ``0``.
-The parser also accepts ``-`` separators and coefficient-only or
-monomial-only terms.
+
+The parsers read this language, with whitespace allowed between tokens
+and inside the parentheses of ``d(...)`` and ``D(...)``::
+
+    polynomial := [sign] term {sign term}       "0" is the zero polynomial
+    sign       := "+" | "-"
+    term       := rat | rat ["*"] monomial | monomial
+    monomial   := "1" | factor {"*" factor}
+    factor     := generator ["^" e]             e an integer >= 1
+    generator  := "k" i | "K" i | "d(" i "," i ")" | "D(" i "," i "," i {"," i} ")"
+    rat        := p ["/" q]                     q nonzero
+
+Here ``e``, ``i``, ``p`` and ``q`` are unsigned decimal integers; the
+monomial ``1`` and an exponent are written without ``/``.  A generator
+must belong to the ring: ``k<i>`` needs ``1 <= i <= g - 2``, a marking
+index ``1 <= i <= n``; the markings of ``d`` are two distinct ones, and
+``D`` names at least three distinct ones.
 """
 
 from __future__ import annotations
