@@ -78,7 +78,6 @@ _TOKEN = re.compile(
     r"|(?P<op>[*^+-])"
     r")"
 )
-_DIGITS = re.compile(r"\d+")
 _GENERATOR = {"k": kappa, "K": point_k, "d": diag}
 _TERM_END = (None, "+", "-")
 
@@ -107,7 +106,7 @@ def _tokenize(ctx: RingContext, text: str) -> list:
             if kind == "rat":
                 tokens.append(Fraction(val) if "/" in val else int(val))
                 continue
-            ints = [int(i) for i in _DIGITS.findall(val)]
+            ints = [int(i) for i in re.findall(r"\d+", val)]
             sym = exc(ints) if kind == "D" else _GENERATOR[kind](*ints)
             check_symbol(ctx, sym)
         except ZeroDivisionError:
@@ -160,7 +159,7 @@ def parse_polynomial(ctx: RingContext, text: str) -> Polynomial:
     toks = _tokenize(ctx, text)
     if toks[0] is None:
         raise GrammarError("empty input")
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, Fraction | int] = {}
     sign = -1 if toks[0] == "-" else 1
     i = 1 if toks[0] in ("+", "-") else 0
     while True:
