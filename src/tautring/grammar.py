@@ -156,7 +156,8 @@ def parse_monomial(ctx: RingContext, text: str) -> Monomial:
 
 
 def parse_polynomial(ctx: RingContext, text: str) -> Polynomial:
-    toks = _tokenize(ctx, text)
+    # stripped, so an error quotes no trailing newline from stdin
+    toks = _tokenize(ctx, text.strip())
     if toks[0] is None:
         raise GrammarError("empty input")
     acc: dict[Monomial, Fraction | int] = {}
