@@ -1,25 +1,41 @@
 """Exact evaluation of top-degree classes against the socle.
 
-Monomials without exceptional factors are evaluated by contracting one
-marking at a time (integrating along the forgetful map of that marking):
+A monomial without exceptional factors, of degree ``g - 2 + s`` on a set of
+``s`` markings, is valued in closed form.  Let ``G`` be the graph on the
+markings with one edge per ``d(i,j)`` factor.  For each connected component
+``C`` of ``G`` (isolated markings included) let ``V_C`` be its number of
+markings, ``t_C`` the sum of its ``K_i`` exponents and of the exponents of
+the diagonals inside it, and ``j_C = t_C - V_C``.  The ``j_C`` sum to ``g - 2``
+minus the degree of the monomial's kappa factors.  The value is 0 if some
+``j_C`` is negative, and otherwise none is above ``g - 2`` and it is::
 
-* if diagonals touch the marking ``j``, the partner ``p`` with the smallest
-  index becomes the anchor; every other diagonal ``d(q,j)`` turns into
-  ``d(p,q)``, a power ``K[j]^a`` turns into ``K[p]^a``, and the anchor
-  ``d(p,j)^e`` integrates to ``(-1)^(e-1) * K[p]^(e-1)``;
-* otherwise a power ``K[j]^a`` integrates to the kappa class of degree
-  ``a - 1`` (the degree-0 kappa class is the scalar ``2g - 2``, and indices
-  above ``g - 2`` vanish);
-* a marking nothing touches integrates to zero.
+    (-1)^(E - s + #components) * (2g - 2)^#{C : j_C = 0}
+        * table(the j_C >= 1 and the monomial's own kappa indices)
 
-After all markings are contracted a kappa monomial of degree ``g - 2``
-remains and is looked up in a :class:`KappaTable`.  The result is divided
-by the value of the socle monomial so that the socle evaluates to one.
+divided by the value of the socle monomial (:func:`socle_raw_value`), so
+that the socle evaluates to one.  ``E`` is the sum of all diagonal
+exponents, and ``table`` is a :class:`KappaTable`.
+
+Why: integrate along the forgetful map of one marking ``j`` at a time.  If
+diagonals touch ``j``, merge it into a partner ``p``: the power of ``K[j]``
+becomes a power of ``K[p]``, every other ``d(q,j)`` becomes ``d(p,q)``, and
+the anchor ``d(p,j)^e`` integrates to ``(-1)^(e-1) * K[p]^(e-1)``.  A merge
+keeps the components, lowers the exponent total of its component by one
+and flips the sign by the anchor multiplicity minus one.  After
+``V_C - 1`` merges ``C`` is one marking carrying ``K^(j_C + 1)`` and no
+diagonal, so every diagonal exponent has been an anchor once, and the
+signs multiply to ``(-1)^(E_C - V_C + 1)``.  That marking integrates to the
+kappa class of degree ``j_C``: the scalar ``2g - 2`` at degree 0, zero
+above ``g - 2``, and zero when ``K`` has exponent 0.  What is left is a
+kappa monomial of degree ``g - 2``, looked up in the table.  The formula
+reads the genus, the table and the pairs ``(V_C, t_C)`` only, so the
+order of integration does not matter, and neither does an injective
+relabelling of the markings.
 
 Monomials that do carry exceptional factors are valued through their
 rewrite graph (see :mod:`tautring.rewrite`): a rewritten monomial is worth
 the values of the terms its step produces, and at top degree the standard
-monomials reached are exceptional-free, which the contraction handles.
+monomials reached are exceptional-free, which the formula values.
 :class:`Evaluator` does this for the monomial it is given; the pairing fill
 asks it for one product per orbit of the symmetric group on the markings.
 """
@@ -27,18 +43,15 @@ asks it for one product per orbit of the symmetric group on the markings.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .core import (
-    DIAG,
     EXC,
     KAPPA,
     Monomial,
     POINT,
     Polynomial,
     RingContext,
-    UNIT,
-    diag,
     kappa,
     point_k,
 )
@@ -175,55 +188,18 @@ def socle_raw_value(ctx: RingContext, num_markings: int) -> Fraction:
     return Fraction(ctx.kappa_zero) ** e
 
 
-def _contract_marking(ctx: RingContext, m: Monomial, j: int) -> tuple[Fraction, Monomial]:
-    partners = []
-    for s, _ in m.pairs:
-        if s.kind == DIAG and j in s.params:
-            partners.append(s.params[0] if s.params[1] == j else s.params[1])
-    if partners:
-        p = min(partners)
-        anchor = diag(p, j)
-        sign = 1
-        kept = []
-        moved = []
-        for s, e in m.pairs:
-            if s.kind == DIAG and j in s.params:
-                if s == anchor:
-                    sign = (-1) ** (e - 1)
-                    if e > 1:
-                        moved.append((point_k(p), e - 1))
-                else:
-                    q = s.params[0] if s.params[1] == j else s.params[1]
-                    moved.append((diag(p, q), e))
-            elif s.kind == POINT and s.params[0] == j:
-                moved.append((point_k(p), e))
-            else:
-                kept.append((s, e))
-        return Fraction(sign), Monomial.from_pairs(kept + moved)
-    for s, e in m.pairs:
-        if s.kind == POINT and s.params[0] == j:
-            rest = Monomial(tuple(p for p in m.pairs if p[0] is not s))
-            if e - 1 == 0:
-                return Fraction(ctx.kappa_zero), rest
-            if e - 1 > ctx.g - 2:
-                return Fraction(0), UNIT
-            return Fraction(1), Monomial.from_pairs(list(rest.pairs) + [(kappa(e - 1), 1)])
-    return Fraction(0), UNIT
-
-
 def evaluate_free(
     ctx: RingContext,
     table: KappaTable,
     m: Monomial,
     markings: Optional[Iterable[int]] = None,
-    order: Optional[Sequence[int]] = None,
 ) -> Fraction:
-    """Socle-normalized value of an exceptional-free top-degree monomial.
+    """Socle-normalized value of an exceptional-free top-degree monomial,
+    by the component formula of the module docstring.
 
     ``markings`` is the marking set to integrate over (all of them by
     default); the monomial must only involve those markings and have degree
-    ``g - 2 + #markings``.  ``order`` overrides the contraction order
-    (default: descending); the result does not depend on it.
+    ``g - 2 + #markings``.
     """
     marks = frozenset(markings) if markings is not None else frozenset(ctx.markings)
     if any(s.kind == EXC for s, _ in m.pairs):
@@ -235,24 +211,41 @@ def evaluate_free(
     expected = ctx.g - 2 + len(marks)
     if m.degree != expected:
         raise DegreeError(f"{m!r} has degree {m.degree}, expected {expected}")
-    if order is None:
-        seq = sorted(marks, reverse=True)
-    else:
-        seq = list(order)
-        if sorted(seq) != sorted(marks):
-            raise ValueError("order must list each marking exactly once")
-    scal = Fraction(1)
-    cur = m
-    for j in seq:
-        c, cur = _contract_marking(ctx, cur, j)
-        scal *= c
-        if not scal:
-            return Fraction(0)
+    parent = {i: i for i in marks}
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    # t[i]: the K_i exponent plus the exponents of the diagonals whose
+    # smaller index is i, so t summed over a component is its t_C
+    t = dict.fromkeys(marks, 0)
     parts = []
-    for s, e in cur.pairs:
-        if s.kind != KAPPA:
-            raise AssertionError(f"leftover non-kappa factor in {cur!r}")
-        parts.extend([s.params[0]] * e)
+    diagonals = 0
+    for s, e in m.pairs:
+        if s.kind == KAPPA:
+            parts += [s.params[0]] * e
+        elif s.kind == POINT:
+            t[s.params[0]] += e
+        else:
+            i, j = s.params
+            parent[root(j)] = root(i)
+            t[i] += e
+            diagonals += e
+    jc: dict[int, int] = {}
+    for i in marks:
+        r = root(i)
+        jc[r] = jc.get(r, 0) + t[i] - 1
+    scal = Fraction((-1) ** ((diagonals - len(marks) + len(jc)) % 2))
+    for j in jc.values():
+        if j < 0:
+            return Fraction(0)
+        if j:
+            parts.append(j)
+        else:
+            scal *= ctx.kappa_zero
     return scal * table.value(parts) / socle_raw_value(ctx, len(marks))
 
 

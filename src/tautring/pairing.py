@@ -43,10 +43,13 @@ The conjectured structure is then visible directly:
   (:func:`conjecture_check`).
 
 The observed block constant is ``(-1)^epsilon * (2g-2)^(|S| - n)`` with
-``epsilon`` the block's sign exponent and ``S`` its marking set; the report
-also carries the magnitude ``(2g-2)^(n - |S| + 1)`` quoted by the source
-material for side-by-side comparison, since the two disagree under the
-normalizations used here.
+``epsilon`` the block's sign exponent and ``S`` its marking set.  Without
+the socle normalization it is the sign ``(-1)^epsilon``: the constant times
+``socle_raw_value`` of ``n`` markings over that of ``|S|`` markings.  The
+rule holds under a wrong kappa table too, so it is no check of the table.
+The report also carries the magnitude ``(2g-2)^(n - |S| + 1)`` quoted by
+the source material; times the rule constant it is ``2g - 2`` on every
+block, so it matches none.
 """
 
 from __future__ import annotations
@@ -394,9 +397,10 @@ def block_constant_reports(matrix: PairingMatrix) -> list[BlockConstantReport]:
     bijection ``phi`` from ``S`` onto ``1..s`` maps the block's row a-parts,
     in order, onto the cluster monomials of degree ``delta`` on ``1..s``,
     and its column a-parts onto those of degree ``g - 2 + s - delta``.
-    :func:`evaluate_free` reads only the genus and the number of markings,
-    and ``phi`` keeps every step of the contraction (descending order, the
-    smallest partner as anchor), so each value is the same.  Hence every
+    :func:`evaluate_free` reads only the genus, the kappa table and the
+    number of markings and exponent total of each component of the
+    monomial's diagonal graph, and an injective relabelling such as ``phi``
+    keeps all of them, so each value is the same.  Hence every
     block with the same ``(s, delta)`` has the same reference, valued with
     the matrix's kappa table; a process fills and ranks it once per table
     and ``(s, delta)``, valuing one product per orbit of ``S_s``.

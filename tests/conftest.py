@@ -1,8 +1,11 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
-from tautring import Evaluator, Polynomial, RingContext, pairing_matrix
+from tautring import Evaluator, Monomial, Polynomial, RingContext, pairing_matrix
+from tautring.core import DIAG, KAPPA, POINT, diag, kappa, point_k
+from tautring.evaluate import socle_raw_value
 from tautring.forest import ll_monomials
 from tautring.rewrite import apply_step
 
@@ -42,6 +45,68 @@ def oracle_normal_form(nz, poly):
     for m, c in poly.items():
         out = out + of(m) * c
     return out
+
+
+def _contract_marking(ctx, m, j):
+    """Integrate ``m`` along the forgetful map of marking ``j``: the scalar
+    it picks up and the monomial left on the other markings."""
+    partners = [s.params[0] if s.params[1] == j else s.params[1]
+                for s, _ in m.pairs if s.kind == DIAG and j in s.params]
+    if partners:
+        p = min(partners)
+        anchor = diag(p, j)
+        sign = 1
+        kept = []
+        moved = []
+        for s, e in m.pairs:
+            if s.kind == DIAG and j in s.params:
+                if s == anchor:
+                    sign = (-1) ** (e - 1)
+                    moved.append((point_k(p), e - 1))
+                else:
+                    q = s.params[0] if s.params[1] == j else s.params[1]
+                    moved.append((diag(p, q), e))
+            elif s.kind == POINT and s.params[0] == j:
+                moved.append((point_k(p), e))
+            else:
+                kept.append((s, e))
+        return Fraction(sign), Monomial.from_pairs(kept + moved)
+    for s, e in m.pairs:
+        if s.kind == POINT and s.params[0] == j:
+            rest = [q for q in m.pairs if q[0] is not s]
+            if e == 1:
+                return Fraction(ctx.kappa_zero), Monomial.from_pairs(rest)
+            if e - 1 > ctx.g - 2:
+                return Fraction(0), None
+            return Fraction(1), Monomial.from_pairs(rest + [(kappa(e - 1), 1)])
+    return Fraction(0), None
+
+
+def oracle_contract(ctx, table, m, markings=None, order=None):
+    """Socle-normalized value of an exceptional-free top-degree monomial
+    over ``markings`` (all by default), by integrating one marking at a
+    time in ``order`` (default: descending).  If diagonals touch the
+    marking ``j``, its smallest partner ``p`` is the anchor: every other
+    ``d(q,j)`` becomes ``d(p,q)``, ``K[j]^a`` becomes ``K[p]^a`` and
+    ``d(p,j)^e`` integrates to ``(-1)^(e-1) * K[p]^(e-1)``; otherwise
+    ``K[j]^a`` integrates to the kappa class of degree ``a - 1``.  It
+    shares no code with :func:`~tautring.evaluate.evaluate_free`'s
+    component formula, so tests hold the formula to it."""
+    marks = sorted(markings if markings is not None else ctx.markings, reverse=True)
+    seq = marks if order is None else list(order)
+    if sorted(seq) != sorted(marks):
+        raise ValueError("order must list each marking exactly once")
+    scal = Fraction(1)
+    for j in seq:
+        c, m = _contract_marking(ctx, m, j)
+        scal *= c
+        if not scal:
+            return Fraction(0)
+    parts = []
+    for s, e in m.pairs:
+        assert s.kind == KAPPA, f"leftover non-kappa factor in {m!r}"
+        parts += [s.params[0]] * e
+    return scal * table.value(parts) / socle_raw_value(ctx, len(marks))
 
 
 def forced_zero(m, i, j):

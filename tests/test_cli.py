@@ -510,6 +510,32 @@ def test_genus4_verify_bytes_pinned(capsys, tmp_path):
     )
 
 
+G5_TABLE = "3=1\n2,1=20\n1,1,1=288\n"
+
+
+def test_genus5_verify_runs_with_a_table(capsys, tmp_path):
+    tbl = tmp_path / "g5.tbl"
+    tbl.write_text(G5_TABLE)
+    rc, out, _ = run(capsys, ["verify", "--g", "5", "--n", "2", "--format", "json",
+                              "--kappa-table", str(tbl)])
+    assert rc == 0
+    assert json.loads(out)["dims"] == [1, 4, 8, 8, 4, 1]
+
+
+def test_genus5_verify_bytes_pinned(capsys, tmp_path):
+    # the one pin whose kappa table has three partitions; sha256 taken while
+    # exceptional-free monomials were valued by contracting one marking at a
+    # time: the component formula must not change a byte
+    tbl = tmp_path / "g5.tbl"
+    tbl.write_text(G5_TABLE)
+    rc, out, _ = run(capsys, ["verify", "--g", "5", "--n", "3", "--format", "json",
+                              "--kappa-table", str(tbl)])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7f49e1ba965475559df4f4623d5d9bb96c3eaf8f01d8b45f032d56368efe4e92"
+    )
+
+
 def test_bad_parallelism(capsys):
     rc, _, err = run(capsys, ["pairing", "--g", "2", "--n", "2", "--k", "1",
                               "--parallelism", "0"])

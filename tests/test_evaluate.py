@@ -23,14 +23,15 @@ from tautring import (
     exc,
     kappa,
     parse_monomial,
+    parse_polynomial,
     point_k,
     socle_monomial,
 )
 from tautring.core import packed_keys, relabel_monomial
 from tautring.evaluate import socle_raw_value
-from tautring.forest import dpart_monomial
+from tautring.forest import cluster_monomials, dpart_monomial
 
-from conftest import oracle_normal_form
+from conftest import oracle_contract, oracle_normal_form
 
 
 def mono(*syms):
@@ -177,7 +178,6 @@ def test_contraction_order_invariance(g, n):
         + [point_k(i) for i in ctx.markings]
         + [diag(i, j) for i, j in itertools.combinations(ctx.markings, 2)]
     )
-    import random
     rng = random.Random(5)
     for _ in range(25):
         syms = [rng.choice(pool) for _ in range(ctx.top_degree)]
@@ -185,10 +185,77 @@ def test_contraction_order_invariance(g, n):
         if m.degree != ctx.top_degree:
             continue
         vals = {
-            evaluate_free(ctx, t, m, order=perm)
+            oracle_contract(ctx, t, m, order=perm)
             for perm in itertools.permutations(ctx.markings)
         }
-        assert len(vals) == 1
+        assert vals == {evaluate_free(ctx, t, m)}
+
+
+G4_TABLES = [KappaTable(4, {(2,): 1, (1, 1): Fraction(32, 3)}),
+             KappaTable(4, {(2,): 1, (1, 1): Fraction(7, 5)})]
+G5_TABLE = KappaTable(5, {(3,): 1, (2, 1): 20, (1, 1, 1): 288})
+
+
+@pytest.mark.parametrize("g,s,table", [
+    (2, 2, None), (2, 3, None), (2, 4, None), (3, 3, None), (3, 4, None),
+    (4, 3, G4_TABLES[0]), (4, 3, G4_TABLES[1]), (5, 3, G5_TABLE),
+], ids=["2-2", "2-3", "2-4", "3-3", "3-4", "4-3-32/3", "4-3-7/5", "5-3"])
+def test_component_formula_is_the_contraction_on_every_reference_product(g, s, table):
+    # every product of cluster monomials of complementary degrees on C_g^s,
+    # as the block references form them
+    ctx = RingContext(g, s)
+    table = table or KappaTable.builtin(g)
+    top = ctx.top_degree
+    bases = [cluster_monomials(ctx, ctx.markings, d) for d in range(top + 1)]
+    nonzero = 0
+    for d in range(top + 1):
+        for a in bases[d]:
+            for b in bases[top - d]:
+                value = evaluate_free(ctx, table, a * b)
+                assert value == oracle_contract(ctx, table, a * b), a * b
+                nonzero += bool(value)
+    assert nonzero
+
+
+def _double_factorial(k):
+    return 1 if k < 2 else k * _double_factorial(k - 2)
+
+
+def _psi_constants(g, table=None):
+    """The values of psi_1^a psi_2^(g-a), a = 0..g, times
+    (2a-1)!! (2(g-a)-1)!!, with psi_i = K_i + d(1,2) on two markings."""
+    ctx = RingContext(g, 2)
+    ev = Evaluator(ctx, table)
+    psi1, psi2 = (parse_polynomial(ctx, f"K{i} + d(1,2)") for i in (1, 2))
+    out = set()
+    for a in range(g + 1):
+        p = Polynomial.one()
+        for _ in range(a):
+            p = p * psi1
+        for _ in range(g - a):
+            p = p * psi2
+        out.add(ev.evaluate(p) * _double_factorial(2 * a - 1) * _double_factorial(2 * (g - a) - 1))
+    return out
+
+
+@pytest.mark.parametrize("g,table,constant", [
+    (2, None, Fraction(3, 4)),
+    (3, None, Fraction(15, 16)),
+    (4, G4_TABLES[0], Fraction(35, 12)),
+    (5, G5_TABLE, Fraction(945, 64)),
+], ids=["2", "3", "4", "5"])
+def test_psi_integrals_are_one_constant_over_double_factorials(g, table, constant):
+    # Faber's lambda_g lambda_(g-1) integrals are proportional to
+    # 1 / prod (2d_i - 1)!!, an identity from outside this calculus
+    assert _psi_constants(g, table) == {constant}
+
+
+@pytest.mark.parametrize("table", [
+    KappaTable(4, {(2,): 1, (1, 1): Fraction(7, 5)}),
+    KappaTable(5, {(3,): 1, (2, 1): 21, (1, 1, 1): 288}),
+], ids=["g4-7/5", "g5-21"])
+def test_psi_integrals_catch_a_wrong_kappa_table(table):
+    assert len(_psi_constants(table.g, table)) == 2
 
 
 # -- the full pipeline ---------------------------------------------------------------
@@ -213,7 +280,6 @@ def test_evaluator_memoizes():
 def test_evaluator_evaluate_polynomial():
     ctx = RingContext(2, 2)
     ev = Evaluator(ctx)
-    from tautring import parse_polynomial
     p = parse_polynomial(ctx, "2 K1*K2 - 4 d(1,2)*K1")
     assert ev.evaluate(p) == 2 * Fraction(1, 2) - 4 * Fraction(1, 4)
 
@@ -248,7 +314,7 @@ def test_bad_contraction_order_rejected():
     ctx = RingContext(2, 2)
     m = parse_monomial(ctx, "K1*K2")
     with pytest.raises(ValueError):
-        evaluate_free(ctx, KappaTable.builtin(2), m, order=(1, 1))
+        oracle_contract(ctx, KappaTable.builtin(2), m, order=(1, 1))
 
 
 def test_table_genus_mismatch():

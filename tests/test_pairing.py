@@ -18,6 +18,7 @@ from tautring import (
     verify_triangular,
 )
 from tautring.core import packed_keys, relabel_monomial
+from tautring.evaluate import socle_raw_value
 from tautring.linalg import exact_rank
 from tautring.forest import admissible_dparts, cluster_monomials, dpart_monomial, dual_forest
 from tautring import pairing as pairing_module
@@ -754,6 +755,28 @@ def test_all_degree_reports_value_references_with_the_matrix_table():
     reports = sorted(_all_reports(4, 3, G4_TABLE), key=lambda r: r.k)
     assert [r.matrix_rank for r in reports] == [1, 8, 19, 19, 8, 1]
     assert all(r.ok for r in reports)
+
+
+G5_TABLE = KappaTable(5, {(3,): 1, (2, 1): 20, (1, 1, 1): 288})
+
+
+@pytest.mark.parametrize("g,n,table", [(g, n, None) for g in (2, 3) for n in (1, 2, 3, 4)] + [
+    (2, 5, None), (4, 3, G4_TABLE), (4, 3, G4_OTHER), (4, 4, G4_TABLE), (4, 4, G4_OTHER),
+    (5, 3, G5_TABLE),
+], ids=[f"{g}-{n}" for g in (2, 3) for n in (1, 2, 3, 4)] + [
+    "2-5", "4-3-32/3", "4-3-7/5", "4-4-32/3", "4-4-7/5", "5-3",
+])
+def test_unnormalized_block_constant_is_the_sign(g, n, table):
+    # multiplying by the socle value of n markings over that of |S| undoes
+    # the socle normalization on both sides of the block rule: what is left
+    # is (-1)^epsilon, with no power of 2g - 2, under a wrong kappa table too
+    ctx = RingContext(g, n)
+    reports = _all_reports(g, n, table)
+    blocks = [b for r in reports for b in r.block_reports if b.constant is not None]
+    assert blocks and all(r.ok for r in reports)
+    for b in blocks:
+        raw = b.constant * socle_raw_value(ctx, n) / socle_raw_value(ctx, len(b.S))
+        assert raw == (-1) ** b.epsilon, b
 
 
 def test_kappa_tables_are_equal_by_genus_and_values():
