@@ -188,20 +188,14 @@ def socle_raw_value(ctx: RingContext, num_markings: int) -> Fraction:
     return Fraction(ctx.kappa_zero) ** e
 
 
-def evaluate_free(
-    ctx: RingContext,
-    table: KappaTable,
-    m: Monomial,
-    markings: Optional[Iterable[int]] = None,
-) -> Fraction:
+def evaluate_free(ctx: RingContext, table: KappaTable, m: Monomial) -> Fraction:
     """Socle-normalized value of an exceptional-free top-degree monomial,
     by the component formula of the module docstring.
 
-    ``markings`` is the marking set to integrate over (all of them by
-    default); the monomial must only involve those markings and have degree
-    ``g - 2 + #markings``.
+    The monomial must only involve the markings of ``ctx`` and have degree
+    ``g - 2 + n``.
     """
-    marks = frozenset(markings) if markings is not None else frozenset(ctx.markings)
+    marks = frozenset(ctx.markings)
     if any(s.kind == EXC for s, _ in m.pairs):
         raise EvaluationError(f"{m!r} has exceptional factors; rewrite it first")
     if not m.marking_indices() <= marks:

@@ -219,60 +219,21 @@ def filtration_level(apart_degree: int, forest: ExceptionalForest) -> int:
     return apart_degree + sum(len(forest.vertex_set(r)) for r in forest.roots) - len(forest.roots)
 
 
-def _cluster_blocks(m: Monomial) -> Union[dict[int, set[int]], None]:
-    """Connected components of the diagonal factors, or None if the diagonal
-    factors are not in canonical star form (min-anchored, exponent 1)."""
-    comp: dict[int, set[int]] = {}
-    for s, e in m.pairs:
-        if s.kind != DIAG:
-            continue
-        if e != 1:
-            return None
-        i, j = s.params
-        a = comp.get(i)
-        b = comp.get(j)
-        if a is None and b is None:
-            blk = {i, j}
-            comp[i] = comp[j] = blk
-        elif a is None:
-            b.add(i)
-            comp[i] = b
-        elif b is None:
-            a.add(j)
-            comp[j] = a
-        elif a is not b:
-            a.update(b)
-            for x in b:
-                comp[x] = a
-    return comp
-
-
 def apart_in_cluster_form(m: Monomial) -> bool:
     """Whether a monomial without exceptional factors is in cluster form.
 
-    Cluster form: diagonal factors are exactly stars ``d(min B, x)`` over
-    blocks ``B`` of markings (each factor to the first power), and no ``K``
-    sits on a non-minimal element of a block.
+    Cluster form is a local rule: every ``d(i,j)`` (``i < j``) has exponent
+    1, and its larger index ``j`` lies in no other diagonal and carries no
+    ``K``.  The diagonals are then stars ``d(min B, x)`` over blocks ``B`` of
+    markings, with ``K`` only on block minima.  The rule is the negation of
+    the triggers of the rewriter's CS, CD and CK steps, so it holds exactly
+    where they stop.
     """
-    comp = _cluster_blocks(m)
-    if comp is None:
-        return False
-    blocks = {id(b): b for b in comp.values()}
-    want: set = set()
-    for b in blocks.values():
-        mu = min(b)
-        for x in b:
-            if x != mu:
-                want.add((mu, x))
-    have = {s.params for s, _ in m.pairs if s.kind == DIAG}
-    if have != want:
-        return False
-    for s, _ in m.pairs:
-        if s.kind == POINT:
-            i = s.params[0]
-            if i in comp and i != min(comp[i]):
-                return False
-    return True
+    diags = [(s.params, e) for s, e in m.pairs if s.kind == DIAG]
+    ends = [x for pair, _ in diags for x in pair]
+    points = {s.params[0] for s, _ in m.pairs if s.kind == POINT}
+    return all(e == 1 and ends.count(j) == 1 and j not in points
+               for (_, j), e in diags)
 
 
 def standard_info(ctx: RingContext, m: Monomial) -> Union[StandardMonomial, None]:
@@ -302,19 +263,11 @@ def standard_info(ctx: RingContext, m: Monomial) -> Union[StandardMonomial, None
 
 
 @functools.lru_cache(maxsize=None)
-def _candidate_sets(n: int) -> tuple[frozenset, ...]:
-    out = []
-    universe = range(1, n + 1)
-    for size in range(3, n + 1):
-        out.extend(frozenset(c) for c in itertools.combinations(universe, size))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
 def laminar_families(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """All families of >=3-element marking subsets that pairwise nest or are
     disjoint, each family sorted by (size, lex).  Includes the empty family."""
-    cands = sorted(_candidate_sets(n), key=lambda s: (len(s), tuple(sorted(s))))
+    cands = [frozenset(c) for size in range(3, n + 1)
+             for c in itertools.combinations(range(1, n + 1), size)]
     out: list[tuple[tuple[int, ...], ...]] = []
     chosen: list[frozenset] = []
 

@@ -222,7 +222,7 @@ def instance_V0(ctx: RingContext, members_a: Sequence[int], members_b: Sequence[
     return RelationInstance("V0", (I, J), _poly(_mono(exc(I), exc(J))))
 
 
-def instance_V1(ctx: RingContext, m: Monomial, reason: str) -> RelationInstance:
+def instance_V1(ctx: RingContext, reason: str, m: Monomial) -> RelationInstance:
     if reason not in ("kappa", "degree"):
         raise ValueError(f"unknown V1 reason {reason!r}")
     return RelationInstance("V1", (reason, m), _poly(m))
@@ -273,40 +273,6 @@ class Step(tuple):
         return (inst.poly - _poly(L, c_L)) * (Fraction(-1) / c_L)
 
 
-def _step_R1a(ctx: RingContext, members, i: int, j: int) -> Step:
-    # the normalizer leads with d(i,j) when it rewrites a diagonal inside the
-    # root (i > j) and with K[j] when it moves K off a non-minimal marking
-    # onto the root minimum i (i < j)
-    lead = diag(i, j) if i > j else point_k(j)
-    return Step(instance_R1a(ctx, members, i, j), _mono(lead, exc(members)), Fraction(1))
-
-
-def _step_R1b(ctx: RingContext, members, i: int, j: int, k: int) -> Step:
-    return Step(instance_R1b(ctx, members, i, j, k), _mono(diag(i, k), exc(members)), Fraction(1))
-
-
-def _step_V0(ctx: RingContext, members_a, members_b) -> Step:
-    inst = instance_V0(ctx, members_a, members_b)
-    return Step(inst, _mono(exc(members_a), exc(members_b)), Fraction(1))
-
-
-def _step_V1(ctx: RingContext, reason: str, m: Monomial) -> Step:
-    return Step(instance_V1(ctx, m, reason), m, Fraction(1))
-
-
-def _step_CS(ctx: RingContext, i: int, j: int) -> Step:
-    d = diag(i, j)
-    return Step(instance_CS(ctx, i, j), _mono(d, d), Fraction(1))
-
-
-def _step_CK(ctx: RingContext, i: int, j: int) -> Step:
-    return Step(instance_CK(ctx, i, j), _mono(diag(i, j), point_k(j)), Fraction(1))
-
-
-def _step_CD(ctx: RingContext, i: int, j: int, k: int) -> Step:
-    return Step(instance_CD(ctx, i, j, k), _mono(diag(i, j), diag(j, k)), Fraction(1))
-
-
 def _step_R3(ctx: RingContext, V: tuple[int, ...], child_sets: tuple[tuple[int, ...], ...],
              B: int, pivot: str) -> Step:
     covered = set().union(*map(set, child_sets)) if child_sets else set()
@@ -334,15 +300,19 @@ def _step_R3(ctx: RingContext, V: tuple[int, ...], child_sets: tuple[tuple[int, 
     return Step(inst, L, Fraction(-1) ** B)
 
 
-_STEP_BUILDERS = {
-    "R1a": _step_R1a,
-    "R1b": _step_R1b,
-    "R3": _step_R3,
-    "V0": _step_V0,
-    "V1": _step_V1,
-    "CS": _step_CS,
-    "CK": _step_CK,
-    "CD": _step_CD,
+# family -> (instance builder, leading monomial of the instance), both from
+# the same parameters; every leading coefficient is 1.  R1a leads with
+# d(i,j) when the normalizer rewrites a diagonal inside the root (i > j) and
+# with K[j] when it moves K off a non-minimal marking onto the root minimum
+# i (i < j).
+_STEPS = {
+    "R1a": (instance_R1a, lambda I, i, j: _mono(diag(i, j) if i > j else point_k(j), exc(I))),
+    "R1b": (instance_R1b, lambda I, i, j, k: _mono(diag(i, k), exc(I))),
+    "V0": (instance_V0, lambda I, J: _mono(exc(I), exc(J))),
+    "V1": (instance_V1, lambda reason, m: m),
+    "CS": (instance_CS, lambda i, j: _mono(diag(i, j), diag(i, j))),
+    "CK": (instance_CK, lambda i, j: _mono(diag(i, j), point_k(j))),
+    "CD": (instance_CD, lambda i, j, k: _mono(diag(i, j), diag(j, k))),
 }
 
 
@@ -351,14 +321,18 @@ def relation_step(ctx: RingContext, family: str, params: tuple) -> Step:
     """The rewrite step of ``family`` with the parameters the normalizer
     found, built once per ring and process.
 
-    The parameters are those of the family's ``instance_*`` builder
-    (``(reason, m)`` for ``V1``) and, for ``R3``, the inputs of
+    ``_STEPS`` maps each family but ``R3`` to its ``instance_*`` builder and
+    its leading monomial, both read from the same parameters, which are
+    those of the builder.  ``R3`` takes the inputs of
     :func:`vertex_reduction`: ``(V, child sets, bound_total, pivot)``.  A
     step is a pure function of the ring and these parameters, and neither
     its instance nor its remainder is ever mutated, so one table serves
     every :class:`Normalizer` of the process.
     """
-    return _STEP_BUILDERS[family](ctx, *params)
+    if family == "R3":
+        return _step_R3(ctx, *params)
+    build, lead = _STEPS[family]
+    return Step(build(ctx, *params), lead(*params), Fraction(1))
 
 
 def vertex_reduction(ctx: RingContext, forest, vertex: int, pivot: str = "min") -> Step:

@@ -304,10 +304,10 @@ def test_exceptional_factor_rejected_by_free_evaluation():
 
 
 def test_markings_outside_subset_rejected():
-    ctx = RingContext(2, 3)
-    m = parse_monomial(ctx, "K1*K3")
+    ctx = RingContext(2, 2)
+    m = mono(point_k(1), point_k(3))
     with pytest.raises(EvaluationError):
-        evaluate_free(ctx, KappaTable.builtin(2), m, markings=(1, 2))
+        evaluate_free(ctx, KappaTable.builtin(2), m)
 
 
 def test_bad_contraction_order_rejected():
@@ -323,11 +323,12 @@ def test_table_genus_mismatch():
 
 
 def test_marking_subset_evaluation():
-    # evaluating over S = {1, 2} at n = 3 uses degree g - 2 + |S|
-    ctx = RingContext(2, 3)
+    # contracting over S = {1, 2} at n = 3 uses degree g - 2 + |S| and
+    # gives the value on the ring of the markings in S
     t = KappaTable.builtin(2)
-    m = parse_monomial(ctx, "K1*K2")
-    assert evaluate_free(ctx, t, m, markings=(1, 2)) == Fraction(1, 2)
+    m = parse_monomial(RingContext(2, 3), "K1*K2")
+    assert oracle_contract(RingContext(2, 3), t, m, markings=(1, 2)) == Fraction(1, 2)
+    assert evaluate_free(RingContext(2, 2), t, m) == Fraction(1, 2)
 
 
 # -- one evaluation per S_n orbit ------------------------------------------------------

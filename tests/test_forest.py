@@ -170,6 +170,22 @@ def test_cluster_form_rejects(m):
     assert not apart_in_cluster_form(m)
 
 
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_cluster_form_is_membership_in_the_cluster_monomials(g):
+    """At n <= 5, every exceptional-free monomial of degree <= 4 with kappa
+    indices in [1, g - 2] is in cluster form iff cluster_monomials lists it."""
+    for n in range(1, 6):
+        ctx = RingContext(g, n)
+        gens = ([kappa(i) for i in range(1, g - 1)] + [point_k(i) for i in ctx.markings]
+                + [diag(i, j) for i, j in itertools.combinations(ctx.markings, 2)])
+        cluster = {m for d in range(5) for m in cluster_monomials(ctx, ctx.markings, d)}
+        for r in range(5):
+            for syms in itertools.combinations_with_replacement(gens, r):
+                m = Monomial.from_symbols(*syms)
+                if m.degree <= 4:
+                    assert apart_in_cluster_form(m) == (m in cluster), m
+
+
 # -- standardness ---------------------------------------------------------------
 
 

@@ -29,7 +29,7 @@ from tautring.pairing import (
     is_gorenstein,
 )
 
-from conftest import forced_positions, forced_zero, get_matrices, with_entries
+from conftest import forced_positions, forced_zero, get_matrices, oracle_contract, with_entries
 
 
 F = Fraction
@@ -207,7 +207,7 @@ def test_exact_rank_matches_bareiss_on_verify_matrices(g, n, monkeypatch):
                 for c in m.cols[block.col_start:block.col_stop]:
                     prod = r.monomial.a_part() * c.monomial.a_part()
                     if (S, prod) not in direct:
-                        direct[S, prod] = evaluate_free(ctx, ev.table, prod, markings=S)
+                        direct[S, prod] = oracle_contract(ctx, ev.table, prod, markings=S)
                     v = direct[S, prod]
                     assert orbit_values[keys.key(relabel_monomial(prod, phi))] == v
                     ref_row.append(v)
@@ -381,9 +381,10 @@ def test_block_constants_frozen(g, n, k, label):
     assert rep.proportional
     assert rep.constant == want
     assert rep.matches_rule
-    # the magnitude of the quoted constant differs from the empirical rule
-    # whenever |S| != n + ... ; on these exceptional blocks they disagree
-    assert rep.quoted_constant != rep.constant
+    # the quoted constant (2g - 2)^(n - |S| + 1) and the rule constant
+    # (2g - 2)^(|S| - n) carry the same sign, so their product is 2g - 2 on
+    # every block, as the README states
+    assert rep.quoted_constant * rep.rule_constant == ctx.kappa_zero
 
 
 def test_free_block_constant_is_one():
@@ -699,9 +700,9 @@ def test_references_value_each_orbit_once_per_run(g, n, monkeypatch):
     ctx, ev, ms = get_matrices(g, n)
     valued = []
 
-    def recording(ref_ctx, table, m, **kwargs):
+    def recording(ref_ctx, table, m):
         valued.append((ref_ctx.n, min(packed_keys(ref_ctx).orbit_keys(m))))
-        return evaluate_free(ref_ctx, table, m, **kwargs)
+        return evaluate_free(ref_ctx, table, m)
 
     monkeypatch.setattr(pairing_module, "evaluate_free", recording)
     reference = {}
@@ -720,7 +721,7 @@ def test_references_value_each_orbit_once_per_run(g, n, monkeypatch):
                 for c in m.cols[block.col_start:block.col_stop]:
                     prod = r.monomial.a_part() * c.monomial.a_part()
                     if (S, prod) not in direct:
-                        direct[S, prod] = evaluate_free(ctx, ev.table, prod, markings=S)
+                        direct[S, prod] = oracle_contract(ctx, ev.table, prod, markings=S)
                     key = keys.key(relabel_monomial(prod, phi))
                     assert reference[ev.table, len(S)][0][key] == direct[S, prod]
 

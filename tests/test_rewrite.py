@@ -91,10 +91,10 @@ def test_builders_reject_bad_input(builder, args):
 
 def test_v1_reasons():
     ctx = RingContext(2, 2)
-    inst = instance_V1(ctx, mono(kappa(1)), "kappa")
+    inst = instance_V1(ctx, "kappa", mono(kappa(1)))
     assert inst.family == "V1"
     with pytest.raises(ValueError):
-        instance_V1(ctx, mono(kappa(1)), "mystery")
+        instance_V1(ctx, "mystery", mono(kappa(1)))
 
 
 @pytest.mark.parametrize("n,rseq,head,blocks,B", [
@@ -409,6 +409,7 @@ _INSTANCE_BUILDERS = {
     "R1b": instance_R1b,
     "R3": instance_R3,
     "V0": instance_V0,
+    "V1": instance_V1,
     "CS": instance_CS,
     "CK": instance_CK,
     "CD": instance_CD,
@@ -432,11 +433,7 @@ def test_step_table_keys_the_ring():
     assert {step[0].family for _, _, step in seen} >= {"R1a", "R1b", "R3", "V1", "CS", "CK"}
     r3 = {}
     for ctx, m, (inst, lead, c_lead) in seen:
-        if inst.family == "V1":
-            reason, w = inst.params
-            direct = instance_V1(ctx, w, reason)
-        else:
-            direct = _INSTANCE_BUILDERS[inst.family](ctx, *inst.params)
+        direct = _INSTANCE_BUILDERS[inst.family](ctx, *inst.params)
         assert inst.poly == direct.poly
         assert inst.poly.coeff(lead) == c_lead != 0
         assert m.try_div(lead) is not None
