@@ -131,8 +131,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _entry_texts(matrix) -> list[list[str]]:
-    """The entries of ``matrix`` as text, each distinct value object formatted
-    once, so entries that are one object share one ``str``.
+    """The entries of ``matrix`` as text, every column of every row: the zeros
+    share one ``"0"``, and each distinct value object is formatted once, so
+    entries that are one object share one ``str``.
 
     Keyed by ``id``, which is sound because ``matrix.entries`` keeps every
     value alive meanwhile; the fill shares one value object per S_n orbit.
@@ -140,12 +141,12 @@ def _entry_texts(matrix) -> list[list[str]]:
     texts: dict[int, str] = {}
     out = []
     for row in matrix.entries:
-        line = []
-        for v in row:
+        line = ["0"] * len(matrix.cols)
+        for j, v in row.items():
             t = texts.get(id(v))
             if t is None:
                 t = texts[id(v)] = str(v)
-            line.append(t)
+            line[j] = t
         out.append(line)
     return out
 

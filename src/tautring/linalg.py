@@ -1,13 +1,15 @@
 """Exact rank of rational matrices.
 
-Rank is an incremental row echelon over the integers on sparse rows.  Each
-row is read once as ``{col: int}``: its nonzero entries, scaled by the lcm
-of their denominators over the gcd of their numerators, which leaves the
-row integral and content-free.  It is reduced by the stored pivot rows,
-leading column first: holding ``a`` where the pivot row leads with ``b``,
-it becomes ``row·(b/g) − pivot·(a/g)`` with ``g = gcd(a, b)``, divided by
-the gcd of its entries.  A row that keeps an entry becomes the pivot row
-of its leading column, and the rank is the number of pivot rows.
+Rank is an incremental row echelon over the integers on sparse rows
+``{col: value}``, as pairing matrices hold them; a zero value is skipped, so
+it is never a pivot.  Each row is read once as ``{col: int}``: its nonzero
+entries, scaled by the lcm of their denominators over the gcd of their
+numerators, which leaves the row integral and content-free.  It is reduced
+by the stored pivot rows, leading column first: holding ``a`` where the
+pivot row leads with ``b``, it becomes ``row·(b/g) − pivot·(a/g)`` with
+``g = gcd(a, b)``, divided by the gcd of its entries.  A row that keeps an
+entry becomes the pivot row of its leading column, and the rank is the
+number of pivot rows.
 
 Rank does not depend on the pivot order, so no choice made here can change
 a result.  Entries stay small: if R are the input rows behind the pivot
@@ -22,19 +24,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Union
 
 
-def exact_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of rows of ``Fraction`` or ``int``; ``ValueError`` if ragged."""
+def exact_rank(rows: Iterable[Mapping[int, Union[Fraction, int]]]) -> int:
+    """Rank of sparse rows ``{column: value}`` of ``Fraction`` or ``int``
+    values; zero values are skipped."""
     pivots: dict[int, dict[int, int]] = {}
-    width = None
     for row in rows:
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError("ragged matrix")
-        entries = {j: x for j, x in enumerate(row) if x}
+        entries = {j: x for j, x in row.items() if x}
         if not entries:
             continue
         den = math.lcm(*(x.denominator for x in entries.values()))

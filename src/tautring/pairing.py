@@ -22,7 +22,8 @@ it, so the key of an entry's product is the row key plus the column key,
 with no carry.  The first product of each orbit met in row-major order is
 built and valued, and its value is stored under the key of every
 relabelling of it; every other entry is a lookup of its key, and its
-product is never built.  The table of keys is the evaluator's
+product is never built.  Only the nonzero entries are kept, as sparse rows
+(:class:`PairingMatrix`).  The table of keys is the evaluator's
 (:attr:`~tautring.evaluate.Evaluator.orbit_values`), so a run that fills
 several degrees with one evaluator, as ``verify`` does, values each orbit
 once in all of them.  The process pool ships those first products and keeps
@@ -73,6 +74,7 @@ from .forest import (
     marking_set,
 )
 from .linalg import exact_rank
+from .rewrite import Normalizer
 
 
 @dataclass(frozen=True)
@@ -99,23 +101,27 @@ class PairingBlock:
 
 @dataclass(frozen=True)
 class PairingMatrix:
-    """The degree ``k`` pairing.  ``table`` is the kappa table its entries
-    were valued with; the structure checks value the block references with it."""
+    """The degree ``k`` pairing.  Each row of ``entries`` maps the column of
+    each nonzero entry, in increasing order, to its value.  ``table`` is the
+    kappa table the entries were valued with; the structure checks value the
+    block references with it."""
 
     ctx: RingContext
     k: int
     rows: tuple[StandardMonomial, ...]
     cols: tuple[StandardMonomial, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[dict[int, Fraction], ...]
     blocks: tuple[PairingBlock, ...]
     table: KappaTable
 
     def rank(self) -> int:
         return exact_rank(self.entries)
 
-    def submatrix(self, block: PairingBlock) -> list[list[Fraction]]:
+    def submatrix(self, block: PairingBlock) -> list[dict[int, Fraction]]:
+        """The sparse rows of ``block``, columns counted from its first."""
+        start, stop = block.col_start, block.col_stop
         return [
-            list(row[block.col_start:block.col_stop])
+            {j - start: v for j, v in row.items() if start <= j < stop}
             for row in self.entries[block.row_start:block.row_stop]
         ]
 
@@ -127,11 +133,11 @@ class PairingMatrix:
 _POOL_STATE: Optional[tuple[RingContext, Evaluator]] = None
 
 
-def _pool_init(g: int, n: int, table_items) -> None:
+def _pool_init(g: int, n: int, table_items, max_steps: int) -> None:
     global _POOL_STATE
     ctx = RingContext(g, n)
     table = KappaTable(g, {tuple(p): Fraction(v) for p, v in table_items})
-    _POOL_STATE = (ctx, Evaluator(ctx, table))
+    _POOL_STATE = (ctx, Evaluator(ctx, table, Normalizer(ctx, max_steps=max_steps)))
 
 
 def _pool_eval(batch: list[str]) -> list[tuple[str, str]]:
@@ -193,22 +199,24 @@ def _orbit_fill(keys, rows, cols, value, memo):
     which is never built, so it gets the result for the first product of
     its orbit, in this call or an earlier one with the same ``memo``:
     ``value(r * c)`` itself when ``value`` is constant on orbits, as the
-    socle value is.  Returns the entries, row by row.
+    socle value is.  Returns each row's nonzero entries as ``{column: entry}``
+    in increasing column order.
     """
-    row_keys = [keys.key(r) for r in rows]
-    col_keys = [keys.key(c) for c in cols]
+    columns = list(enumerate(map(keys.key, cols)))  # one int object per column index
     out = []
-    for r, rk in zip(rows, row_keys):
-        row = []
-        for c, ck in zip(cols, col_keys):
+    for r in rows:
+        rk = keys.key(r)
+        row = {}
+        for j, ck in columns:
             v = memo.get(rk + ck)
             if v is None:
-                m = r * c
+                m = r * cols[j]
                 v = value(m)
                 for key in keys.orbit_keys(m):
                     memo[key] = v
-            row.append(v)
-        out.append(tuple(row))
+            if v:
+                row[j] = v
+        out.append(row)
     return tuple(out)
 
 
@@ -226,16 +234,17 @@ def _parallel_entries(ctx, evaluator, rows, cols, parallelism):
     size = -(-len(unique) // n_chunks)
     chunks = [unique[i:i + size] for i in range(0, len(unique), size)]
     table_items = tuple((part, str(val)) for part, val in evaluator.table.items())
-    values: dict[str, Fraction] = {}
+    values: dict[str, Fraction] = {}  # the products whose value is not zero
     with ProcessPoolExecutor(
         max_workers=parallelism,
         initializer=_pool_init,
-        initargs=(ctx.g, ctx.n, table_items),
+        initargs=(ctx.g, ctx.n, table_items, evaluator.normalizer.max_steps),
     ) as pool:
         for out in pool.map(_pool_eval, chunks):
             for s, v in out:
-                values[s] = Fraction(v)
-    return tuple(tuple(values[s] for s in row) for row in texts)
+                if v != "0":
+                    values[s] = Fraction(v)
+    return tuple({j: values[s] for j, s in row.items() if s in values} for row in texts)
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +267,15 @@ def verify_triangular(matrix: PairingMatrix) -> tuple[tuple[int, int, Fraction],
     bad = []
     for p in matrix.blocks:
         r = matrix.rows[p.row_start]
-        forced = []
+        forced = set()
         for q in matrix.blocks:
             c = matrix.cols[q.col_start]
             if (ll_monomials(r.monomial, c.monomial) and c.p + r.degree > top) or (
                 ll_monomials(c.monomial, r.monomial) and r.p + c.degree > top
             ):
-                forced.append(range(q.col_start, q.col_stop))
+                forced.update(range(q.col_start, q.col_stop))
         for i in range(p.row_start, p.row_stop):
-            row = matrix.entries[i]
-            bad.extend((i, j, row[j]) for cols in forced for j in cols if row[j])
+            bad.extend((i, j, v) for j, v in matrix.entries[i].items() if j in forced)
     return tuple(bad)
 
 
@@ -318,25 +326,9 @@ def _block_report(ctx: RingContext, block: PairingBlock, constant: Optional[Frac
 
 
 def _proportional(sub, ref, constant: Fraction) -> bool:
-    """Whether ``sub`` is ``constant`` times ``ref``, entry by entry.
-
-    The orbit table of ``S_s`` holds one value object per orbit, shared by
-    every entry of the orbit and kept alive by ``ref``, so each nonzero
-    object is scaled once, looked up by identity, not once per entry; a
-    zero reference entry asks for a zero entry.
-    """
-    scaled = {}
-    for xs, vs in zip(sub, ref):
-        for x, v in zip(xs, vs):
-            if v:
-                w = scaled.get(id(v))
-                if w is None:
-                    w = scaled[id(v)] = constant * v
-                if x != w:
-                    return False
-            elif x:
-                return False
-    return True
+    """Whether the sparse rows ``sub`` are ``constant`` (not zero) times the
+    sparse rows ``ref``, row by row."""
+    return all(xs == {j: constant * v for j, v in vs.items()} for xs, vs in zip(sub, ref))
 
 
 # (table, s) -> (orbit table of S_s, {delta: (entries, rank)}); a reference
@@ -367,14 +359,14 @@ def _reference_pairing(table: KappaTable, s: int, delta: int):
 
 
 def _compare_block(ctx: RingContext, table: KappaTable, k: int, block: PairingBlock,
-                   sub: list[list[Fraction]]) -> BlockConstantReport:
-    """The report of ``block`` of degree ``k``, whose entries are ``sub``."""
+                   sub: list[dict[int, Fraction]]) -> BlockConstantReport:
+    """The report of ``block`` of degree ``k``, whose sparse rows are ``sub``."""
     ref, reference_rank = _reference_pairing(table, len(block.S), k - block.label.degree)
     constant = next(
-        (x / v for xs, vs in zip(sub, ref) for x, v in zip(xs, vs) if v), None
+        (xs.get(j, 0) / v for xs, vs in zip(sub, ref) for j, v in vs.items()), None
     )
-    if constant is None:
-        proportional = not any(x for xs in sub for x in xs)
+    if not constant:
+        proportional = not any(sub)
     else:
         proportional = _proportional(sub, ref, constant)
     if not proportional:
@@ -496,7 +488,10 @@ def dual_conjecture_check(matrix: PairingMatrix, report: ConjectureReport) -> Co
                 ctx, block, p.constant, True, p.block_rank, p.reference_rank
             ))
         else:
-            sub = [list(col) for col in zip(*matrix.submatrix(b))]
+            sub = [{} for _ in range(b.n_cols)]
+            for i, row in enumerate(matrix.submatrix(b)):
+                for j, v in row.items():
+                    sub[j][i] = v
             block_reports.append(_compare_block(ctx, matrix.table, k, block, sub))
     return ConjectureReport(
         k=k,

@@ -124,12 +124,28 @@ def forced_positions(m):
             if forced_zero(m, i, j)]
 
 
+def sparse(rows):
+    """Dense ``rows`` as sparse rows: ``{column: value}`` of the nonzero
+    values, in increasing column order."""
+    return tuple({j: x for j, x in enumerate(row) if x} for row in rows)
+
+
+def dense(m, width=None):
+    """Sparse rows as dense ones, zeros included: the entries of the pairing
+    matrix ``m``, or the rows ``m`` of ``width`` columns.  Fails on a stored
+    zero or a column outside the width."""
+    rows, width = (m.entries, len(m.cols)) if width is None else (tuple(m), width)
+    out = tuple(tuple(row.get(j, Fraction(0)) for j in range(width)) for row in rows)
+    assert sparse(out) == rows, "a stored zero or a column outside the matrix"
+    return out
+
+
 def with_entries(m, changes):
     """Copy of ``m`` with the entries at the given positions replaced."""
-    rows = [list(r) for r in m.entries]
+    rows = [list(r) for r in dense(m)]
     for (i, j), v in changes.items():
         rows[i][j] = v
-    return dataclasses.replace(m, entries=tuple(tuple(r) for r in rows))
+    return dataclasses.replace(m, entries=sparse(rows))
 
 
 @pytest.fixture

@@ -349,11 +349,18 @@ def test_entry_texts_share_one_string_per_value_object():
     matrix = matrices[1]
     texts = cli._entry_texts(matrix)
     by_value = {}
+    zeros = set()
     for row, text_row in zip(matrix.entries, texts):
-        for v, t in zip(row, text_row):
-            assert t == str(v)
-            assert by_value.setdefault(id(v), t) is t
+        assert len(text_row) == len(matrix.cols)
+        for j, t in enumerate(text_row):
+            if j in row:
+                assert t == str(row[j])
+                assert by_value.setdefault(id(row[j]), t) is t
+            else:
+                assert t == "0"
+                zeros.add(id(t))
     assert len(by_value) < sum(map(len, matrix.entries))
+    assert len(zeros) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -461,6 +468,19 @@ def test_malformed_rational_is_usage_error(capsys, monkeypatch, stdin):
     assert rc == 2
     assert out == ""
     assert err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--g", "2", "--n", "3", "--max-rewrite-steps", "1"],
+    ["pairing", "--g", "2", "--n", "4", "--k", "2", "--max-rewrite-steps", "2"],
+])
+def test_fill_budget_exhaustion(capsys, argv, parallelism):
+    # the pool workers rewrite under the same step budget as the serial fill
+    rc, out, err = run(capsys, argv + ["--parallelism", parallelism])
+    assert rc == 3
+    assert out == ""
+    assert "gave up after" in err
 
 
 def test_normalize_budget_exhaustion(capsys, monkeypatch):

@@ -29,7 +29,15 @@ from tautring.pairing import (
     is_gorenstein,
 )
 
-from conftest import forced_positions, forced_zero, get_matrices, oracle_contract, with_entries
+from conftest import (
+    dense,
+    forced_positions,
+    forced_zero,
+    get_matrices,
+    oracle_contract,
+    sparse,
+    with_entries,
+)
 
 
 F = Fraction
@@ -40,33 +48,36 @@ F = Fraction
 
 def test_exact_rank():
     assert exact_rank([]) == 0
-    assert exact_rank([[]]) == 0
-    assert exact_rank([[], []]) == 0
-    assert exact_rank([[F(0), F(0)]]) == 0
-    assert exact_rank([[F(0), F(0)], [F(0), F(0)], [F(0), F(0)]]) == 0
-    assert exact_rank([[F(1, 3), F(2, 3)], [F(1), F(2)]]) == 1
-    assert exact_rank([[F(1), F(0)], [F(0), F(1)]]) == 2
-    assert exact_rank([[F(2), F(3), F(5)], [F(7), F(11), F(13)]]) == 2
-    assert exact_rank([[1, 2], [2, 4], [0, 3]]) == 2
+    assert exact_rank(sparse([[]])) == 0
+    assert exact_rank(sparse([[], []])) == 0
+    assert exact_rank(sparse([[F(0), F(0)]])) == 0
+    assert exact_rank(sparse([[F(0), F(0)], [F(0), F(0)], [F(0), F(0)]])) == 0
+    assert exact_rank(sparse([[F(1, 3), F(2, 3)], [F(1), F(2)]])) == 1
+    assert exact_rank(sparse([[F(1), F(0)], [F(0), F(1)]])) == 2
+    assert exact_rank(sparse([[F(2), F(3), F(5)], [F(7), F(11), F(13)]])) == 2
+    assert exact_rank(sparse([[1, 2], [2, 4], [0, 3]])) == 2
 
 
-@pytest.mark.parametrize("rows", [
-    [[], [F(1)]],
-    [[F(1)], []],
-    [[F(1), F(0)], [F(1)]],
-    [[F(0), F(0)], [F(0)]],
-    [[F(1), F(2)], [F(2), F(4)], [F(1), F(2), F(3)]],
-])
-def test_exact_rank_rejects_ragged_rows(rows):
-    with pytest.raises(ValueError, match="ragged matrix"):
-        exact_rank(rows)
+@pytest.mark.parametrize("rows,rank", [
+    ([[], [F(1)]], 1),
+    ([[F(1)], []], 1),
+    ([[F(1), F(0)], [F(1)]], 1),
+    ([[F(0), F(0)], [F(0)]], 0),
+    ([[F(1), F(2)], [F(2), F(4)], [F(1), F(2), F(3)]], 2),
+    ([[F(0), F(1)], [F(0), F(1)]], 1),
+], ids=[f"rows{i}" for i in range(6)])
+def test_exact_rank_ignores_zero_values(rows, rank):
+    # sparse rows have no width, and a zero value given anyway is no pivot
+    assert exact_rank([dict(enumerate(row)) for row in rows]) == rank
 
 
 def _bareiss_rank(rows):
-    """Reference rank: dense fraction-free Bareiss elimination on the rows,
-    each scaled by the lcm of its denominators."""
+    """Reference rank: dense fraction-free Bareiss elimination on the sparse
+    rows laid out with one column past the largest, each row scaled by the
+    lcm of its denominators."""
+    width = 1 + max((j for row in rows for j in row), default=-1)
     M = []
-    for row in rows:
+    for row in dense(rows, width):
         den = math.lcm(*(F(x).denominator for x in row)) if row else 1
         M.append([int(F(x) * den) for x in row])
     if not M or not M[0]:
@@ -145,7 +156,7 @@ def test_exact_rank_matches_bareiss_on_random_matrices(shape):
         small, large = rng.randint(1, 6), rng.randint(7, 14)
         n_rows, n_cols = {"tall": (large, small), "wide": (small, large),
                           "square": (large, large)}[shape]
-        rows = _random_sparse_matrix(rng, n_rows, n_cols)
+        rows = sparse(_random_sparse_matrix(rng, n_rows, n_cols))
         assert exact_rank(rows) == _bareiss_rank(rows)
 
 
@@ -156,7 +167,7 @@ def test_square_full_rank_iff_nonzero_determinant():
         size = rng.randint(1, 8)
         rows = _random_sparse_matrix(rng, rng.randint(1, size), size)
         rows = (rows + [[F(0)] * size] * size)[:size]
-        full = exact_rank(rows) == size
+        full = exact_rank(sparse(rows)) == size
         assert full == (_exact_det(rows) != 0)
         seen.add(full)
     assert seen == {True, False}
@@ -212,14 +223,15 @@ def test_exact_rank_matches_bareiss_on_verify_matrices(g, n, monkeypatch):
                     assert orbit_values[keys.key(relabel_monomial(prod, phi))] == v
                     ref_row.append(v)
                 ref.append(tuple(ref_row))
-            assert b.reference_rank == _bareiss_rank(ref)
+            assert b.reference_rank == _bareiss_rank(sparse(ref))
             # the run's (s, delta) pairing is the block's reference, entry by
             # entry in block order; a block whose report was read off its
             # transpose left only the complementary degree filled
             if delta in pairings:
-                assert pairings[delta][0] == tuple(ref)
+                assert dense(pairings[delta][0], block.n_cols) == tuple(ref)
             else:
-                assert tuple(zip(*pairings[g - 2 + s - delta][0])) == tuple(ref)
+                transposed = dense(pairings[g - 2 + s - delta][0], block.n_rows)
+                assert tuple(zip(*transposed)) == tuple(ref)
 
 
 def test_exact_det():
@@ -238,20 +250,20 @@ def test_g2n2_degree1_matrix():
         parse_monomial(ctx, t) for t in ("K1", "K2", "d(1,2)")
     ]
     assert [c.monomial for c in m.cols] == [r.monomial for r in m.rows]
-    assert m.entries == (
+    assert dense(m) == (
         (F(0), F(1, 2), F(1, 4)),
         (F(1, 2), F(0), F(1, 4)),
         (F(1, 4), F(1, 4), F(-1, 4)),
     )
     assert m.rank() == 3
-    assert _exact_det(m.entries) == F(1, 8)
+    assert _exact_det(dense(m)) == F(1, 8)
 
 
 def test_g3n1_degree1_matrix():
     ctx, ev, ms = get_matrices(3, 1)
     m = ms[1]
     assert [repr(r.monomial) for r in m.rows] == ["k1", "K1"]
-    assert m.entries == ((F(0), F(1)), (F(1), F(1, 4)))
+    assert dense(m) == ((F(0), F(1)), (F(1), F(1, 4)))
     assert m.rank() == 2
 
 
@@ -275,12 +287,13 @@ def test_pairing_is_symmetric_between_complementary_degrees():
     ctx, ev, ms = get_matrices(2, 3)
     for k in range(ctx.top_degree + 1):
         a, b = ms[k], ms[ctx.top_degree - k]
+        da, db = dense(a), dense(b)
         left = {
-            (r.monomial, c.monomial): a.entries[i][j]
+            (r.monomial, c.monomial): da[i][j]
             for i, r in enumerate(a.rows) for j, c in enumerate(a.cols)
         }
         right = {
-            (c.monomial, r.monomial): b.entries[i][j]
+            (c.monomial, r.monomial): db[i][j]
             for i, r in enumerate(b.rows) for j, c in enumerate(b.cols)
         }
         assert left == right
@@ -304,7 +317,8 @@ def test_no_triangle_violations(g, n):
 
 def _entrywise_violations(m):
     """Oracle: the filtration rule tested at every entry, row-major."""
-    return tuple((i, j, m.entries[i][j]) for i, j in forced_positions(m) if m.entries[i][j])
+    entries = dense(m)
+    return tuple((i, j, entries[i][j]) for i, j in forced_positions(m) if entries[i][j])
 
 
 def _tamperable_position(m):
@@ -417,7 +431,7 @@ def test_tampered_block_is_not_proportional():
         (i, j)
         for i in range(b.row_start, b.row_stop)
         for j in range(b.col_start, b.col_stop)
-        if m.entries[i][j]
+        if j in m.entries[i]
     )
     bad = with_entries(m, {(i, j): 2 * m.entries[i][j]})
     [report] = [r for r in block_constant_reports(bad) if r.label == b.label]
@@ -476,7 +490,8 @@ def test_block_of_degree_top_minus_k_is_transpose_of_dual_block(g, n):
                 == _monomials(t.cols[d.col_start:d.col_stop])
             assert _monomials(m.cols[p.col_start:p.col_stop]) \
                 == _monomials(t.rows[d.row_start:d.row_stop])
-            assert m.submatrix(p) == [list(col) for col in zip(*t.submatrix(d))]
+            assert dense(m.submatrix(p), p.n_cols) \
+                == tuple(zip(*dense(t.submatrix(d), d.n_cols)))
 
 
 @pytest.mark.parametrize("g,n", [(2, 3), (2, 4), (3, 3), (3, 4)])
@@ -497,8 +512,9 @@ def test_dual_matrix_equals_filled_matrix(g, n):
         cols = [i for b in partners for i in range(b.row_start, b.row_stop)]
         assert [m.cols[j].monomial for j in rows] == _monomials(t.rows)
         assert [m.rows[i].monomial for i in cols] == _monomials(t.cols)
-        assert [[m.entries[i][j] for i in cols] for j in rows] \
-            == [list(row) for row in t.entries]
+        entries = dense(m)
+        assert [[entries[i][j] for i in cols] for j in rows] \
+            == [list(row) for row in dense(t)]
     filled = []
 
     def fill(k):
@@ -547,7 +563,7 @@ def test_report_of_a_non_proportional_partner_is_computed():
         (i, j)
         for i in range(b.row_start, b.row_stop)
         for j in range(b.col_start, b.col_stop)
-        if m.entries[i][j]
+        if j in m.entries[i]
     )
     changes = {(i, j): 2 * m.entries[i][j]}
     bad = with_entries(m, changes)
@@ -667,7 +683,7 @@ def test_fill_values_each_orbit_once_per_run(g, n, monkeypatch):
     assert {min(keys.orbit_keys(m)) for m in valued} == orbits
     fresh = Evaluator(ctx)
     for m in filled[1:]:
-        assert m.entries == tuple(
+        assert dense(m) == tuple(
             tuple(fresh.evaluate_monomial(r.monomial * c.monomial) for c in m.cols) for r in m.rows
         )
 
@@ -801,17 +817,25 @@ def test_parallel_matches_serial():
         serial = pairing_matrix(ctx, k, ev, parallelism=1)
         parallel = pairing_matrix(ctx, k, ev, parallelism=2)
         assert serial.entries == parallel.entries
+        # the same columns, in the same order
+        assert [list(row.items()) for row in serial.entries] \
+            == [list(row.items()) for row in parallel.entries]
         assert [r.monomial for r in serial.rows] == [r.monomial for r in parallel.rows]
 
 
 @pytest.mark.parametrize("g,n,parallelism", [(g, n, 1) for g in (2, 3) for n in (1, 2, 3, 4)] + [(3, 3, 2)])
 def test_entries_are_the_values_of_their_products(g, n, parallelism):
     # the fill values one product per S_n orbit and reads the others off
-    # packed keys; every entry must still be the value of its own product
+    # packed keys; every entry must still be the value of its own product,
+    # and each row holds exactly its nonzero entries, in increasing column order
     ctx = RingContext(g, n)
     ev = Evaluator(ctx)
     for k in range(ctx.top_degree + 1):
         m = pairing_matrix(ctx, k, Evaluator(ctx), parallelism)
-        assert m.entries == tuple(
-            tuple(ev.evaluate_monomial(r.monomial * c.monomial) for c in m.cols) for r in m.rows
-        )
+        assert len(m.entries) == len(m.rows)
+        for r, row in zip(m.rows, m.entries):
+            keys = list(row)
+            assert keys == sorted(set(keys)) and set(keys) <= set(range(len(m.cols)))
+            assert all(row.values())
+            assert [row.get(j, 0) for j in range(len(m.cols))] \
+                == [ev.evaluate_monomial(r.monomial * c.monomial) for c in m.cols]
